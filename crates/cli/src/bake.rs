@@ -2,7 +2,7 @@
 //! into a persistent on-disk store.
 //!
 //! ```text
-//! wakeup bake [--dir DIR] [--n 512,20000] [--seed N] [--verify] [--stats]
+//! wakeup bake [--dir DIR] [--n 512,20000] [--seed N] [--verify]
 //! wakeup bake [--dir DIR] --scenario scenarios/table1/04-cor1.json [--verify]
 //! ```
 //!
@@ -24,9 +24,6 @@
 //! `--verify` additionally re-reads every baked file and compares it
 //! byte-for-byte (header, section table, checksums, payloads) against a
 //! from-scratch cold rebuild, then prints the store-status line.
-//! `--stats` prints each network's mean neighbor-id distance under the
-//! adversary's labels and under the baked RCM relabeling — the engines'
-//! cache-locality win at a glance.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -86,16 +83,10 @@ fn parse_sizes(spec: &str) -> Result<Vec<usize>, CliError> {
         .collect()
 }
 
-/// Runs `wakeup bake`. `verify` and `stats` are the pre-extracted
-/// valueless flags (the shared flag parser only understands `--key value`
-/// pairs): `--verify` re-reads and byte-compares every baked file,
-/// `--stats` prints each network's mean neighbor-id distance before and
-/// after the bake-time locality relabeling.
-pub fn cmd_bake(
-    flags: &HashMap<String, String>,
-    verify: bool,
-    stats: bool,
-) -> Result<(), CliError> {
+/// Runs `wakeup bake`. `verify` is the pre-extracted valueless `--verify`
+/// flag (the shared flag parser only understands `--key value` pairs): it
+/// re-reads and byte-compares every baked file.
+pub fn cmd_bake(flags: &HashMap<String, String>, verify: bool) -> Result<(), CliError> {
     let dir: PathBuf = match flags.get("dir") {
         Some(d) => PathBuf::from(d),
         None => std::env::var_os("WAKEUP_STORE")
@@ -157,32 +148,6 @@ pub fn cmd_bake(
         "{written} baked, {kept} up-to-date, {total_bytes} bytes in {}",
         dir.display()
     );
-
-    if stats {
-        // Locality figures for the baked networks: the mean |label(u) −
-        // label(v)| over directed edges, under the adversary's original
-        // labels and under the RCM run-space labels the engines execute
-        // in. The ratio is the bake's cache-locality win.
-        for &n in &sizes {
-            let (networks, _) = corpus(n, seed);
-            for key in networks {
-                let net = cache.network(key);
-                let g = net.graph();
-                let before = wakeup_graph::relabel::avg_neighbor_distance(g);
-                let rel = wakeup_graph::Relabeling::locality(g);
-                let after = wakeup_graph::relabel::avg_neighbor_distance_relabeled(g, &rel);
-                println!(
-                    "stats      avg nbr dist {before:>12.2} -> {after:>9.2}  ({}x)  {}",
-                    if after > 0.0 {
-                        format!("{:.1}", before / after)
-                    } else {
-                        "inf".into()
-                    },
-                    key.store_file_name()
-                );
-            }
-        }
-    }
 
     if verify {
         // Verification is deliberately paranoid: beyond re-deriving every
@@ -288,16 +253,11 @@ mod tests {
         let dir = std::env::temp_dir().join("wakeup-cli-bake-test");
         std::fs::remove_dir_all(&dir).ok();
         let dir_s = dir.to_str().unwrap();
-        cmd_bake(&flags(&[("dir", dir_s), ("n", "48")]), false, false).unwrap();
+        cmd_bake(&flags(&[("dir", dir_s), ("n", "48")]), false).unwrap();
         // 3 networks + 6 advice files for one size.
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 9);
         // Second bake keeps everything; verify passes.
-        cmd_bake(
-            &flags(&[("dir", dir_s), ("n", "48"), ("seed", "7")]),
-            true,
-            true,
-        )
-        .unwrap();
+        cmd_bake(&flags(&[("dir", dir_s), ("n", "48"), ("seed", "7")]), true).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -306,7 +266,7 @@ mod tests {
         let dir = std::env::temp_dir().join("wakeup-cli-bake-corrupt-test");
         std::fs::remove_dir_all(&dir).ok();
         let dir_s = dir.to_str().unwrap();
-        cmd_bake(&flags(&[("dir", dir_s), ("n", "40")]), false, false).unwrap();
+        cmd_bake(&flags(&[("dir", dir_s), ("n", "40")]), false).unwrap();
         // Flip a byte inside the section table (offset 64 starts the first
         // 32-byte entry) — covered by the table hash, so the file is
         // detectably stale.
@@ -325,7 +285,7 @@ mod tests {
         let err = cache.verify_network(key).unwrap_err();
         assert!(err.contains("diverges"), "unexpected error: {err}");
         // ...and a re-bake with --verify rewrites the stale file and passes.
-        cmd_bake(&flags(&[("dir", dir_s), ("n", "40")]), true, false).unwrap();
+        cmd_bake(&flags(&[("dir", dir_s), ("n", "40")]), true).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -394,7 +354,6 @@ mod tests {
                 ("scenario", spec_path.to_str().unwrap()),
             ]),
             true,
-            false,
         )
         .unwrap();
         // One network file plus one advice file for the cor1 scheme.
@@ -409,7 +368,7 @@ mod tests {
         if std::env::var_os("WAKEUP_STORE").is_some() {
             return; // environment already configures a store; skip
         }
-        let err = cmd_bake(&HashMap::new(), false, false).unwrap_err();
+        let err = cmd_bake(&HashMap::new(), false).unwrap_err();
         assert!(err.0.contains("WAKEUP_STORE"));
     }
 }

@@ -5,7 +5,7 @@
 //! wakeup run  --scenario scenarios/table1/01-flooding.json
 //! wakeup sweep --algo thm5b --family gnp --sizes 64,128,256 [--seed N]
 //! wakeup info --graph classgk:3:4:7
-//! wakeup bake --dir store/ --n 512,20000 [--seed N] [--verify] [--stats]
+//! wakeup bake --dir store/ --n 512,20000 [--seed N] [--verify]
 //! wakeup fuzz [--seed N] [--count K] [--out-dir DIR]
 //! wakeup help
 //! ```
@@ -27,7 +27,7 @@ USAGE:
   wakeup sweep --algo <ALGO> --family <gnp|complete|tree> --sizes 64,128,... [--seed N]
   wakeup trials --algo <ALGO> --graph <GRAPH> --wake <WAKE> --count N [--seed N]
   wakeup info  --graph <GRAPH>
-  wakeup bake  [--dir DIR] [--n 512,20000] [--seed N] [--verify] [--stats]
+  wakeup bake  [--dir DIR] [--n 512,20000] [--seed N] [--verify]
   wakeup bake  [--dir DIR] --scenario <FILE.json> [--verify]
   wakeup fuzz  [--seed N] [--count K] [--out-dir DIR]
   wakeup obs   inspect <FILE>
@@ -51,8 +51,7 @@ bake pre-builds the benchmark artifact corpus (networks + oracle advice)
 into a persistent store (--dir, or the WAKEUP_STORE variable). Measurement
 binaries run with WAKEUP_STORE set then reload artifacts via mmap instead
 of rebuilding them. --verify re-reads every file and compares it
-byte-for-byte against a from-scratch cold rebuild. --stats prints each
-network's mean neighbor-id distance before/after locality relabeling.
+byte-for-byte against a from-scratch cold rebuild.
 With --scenario, bake derives the spec's artifact keys exactly as the
 measurement harness does and bakes only those artifacts.
 
@@ -185,13 +184,12 @@ fn main() -> ExitCode {
         Some("trials") => parse_flags(&args[1..]).and_then(|f| cmd_trials(&f)),
         Some("info") => parse_flags(&args[1..]).and_then(|f| cmd_info(&f)),
         Some("bake") => {
-            // `--verify`/`--stats` are valueless; extract them before the
-            // `--key value` pair parser sees the rest.
+            // `--verify` is valueless; extract it before the `--key value`
+            // pair parser sees the rest.
             let mut rest: Vec<String> = args[1..].to_vec();
             let verify = rest.iter().any(|a| a == "--verify");
-            let stats = rest.iter().any(|a| a == "--stats");
-            rest.retain(|a| a != "--verify" && a != "--stats");
-            parse_flags(&rest).and_then(|f| cmd_bake(&f, verify, stats))
+            rest.retain(|a| a != "--verify");
+            parse_flags(&rest).and_then(|f| cmd_bake(&f, verify))
         }
         Some("fuzz") => parse_flags(&args[1..]).and_then(|f| cmd_fuzz(&f)),
         // `obs` takes positional file paths; it parses its own args.

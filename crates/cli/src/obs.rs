@@ -534,6 +534,15 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_fails_to_load_instead_of_aborting() {
+        let path = std::env::temp_dir().join("wakeup_obs_cli_deep_test.json");
+        std::fs::write(&path, "[".repeat(50_000)).unwrap();
+        let err = load_doc(path.to_str().unwrap()).unwrap_err();
+        assert!(err.0.contains("nesting"), "{}", err.0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn timeline_renders_csv_and_jsonl() {
         let snaps = vec![Labeled {
             label: "x".to_string(),

@@ -40,8 +40,6 @@ pub mod generators;
 pub mod graph;
 pub mod io;
 mod proptests;
-pub mod relabel;
 pub mod rng;
 
 pub use graph::{Graph, GraphBuilder, GraphError, NodeId};
-pub use relabel::Relabeling;

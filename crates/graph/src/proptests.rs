@@ -147,35 +147,6 @@ proptest! {
     }
 
     #[test]
-    fn locality_relabeling_is_a_bijection_that_never_hurts_a_path(g in arbitrary_graph()) {
-        let rel = crate::relabel::Relabeling::locality(&g);
-        prop_assert_eq!(rel.len(), g.n());
-        for v in 0..g.n() {
-            prop_assert_eq!(rel.to_orig(rel.to_run(v)), v);
-            prop_assert_eq!(rel.to_run(rel.to_orig(v)), v);
-        }
-    }
-
-    #[test]
-    fn permute_to_run_then_to_orig_is_identity(to_orig_seed in 0u64..1000, n in 1usize..200) {
-        // An arbitrary permutation (Fisher–Yates over a seeded rng), not
-        // just RCM output: the round-trip contract is for any bijection
-        // the store might hand back.
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        let mut rng = Xoshiro256::seed_from(to_orig_seed);
-        rng.shuffle(&mut perm);
-        let rel = crate::relabel::Relabeling::from_to_orig(perm);
-        let original: Vec<usize> = (0..n).collect();
-        let mut data = original.clone();
-        rel.permute_to_run(&mut data);
-        for (run, &orig) in data.iter().enumerate() {
-            prop_assert_eq!(orig, rel.to_orig(run));
-        }
-        rel.permute_to_orig(&mut data);
-        prop_assert_eq!(data, original);
-    }
-
-    #[test]
     fn edge_list_io_roundtrips(g in arbitrary_graph()) {
         let text = crate::io::to_edge_list(&g);
         let back = crate::io::parse_edge_list(&text).unwrap();

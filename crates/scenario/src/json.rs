@@ -14,8 +14,18 @@
 //! Spec validation separately rejects fields whose values cannot be exact
 //! (seeds above 2³², say), so no scenario parameter ever passes through a
 //! lossy representation.
+//!
+//! Nesting is capped at [`MAX_DEPTH`]: the parser is recursive descent, so
+//! an unbounded `[[[[…` document would otherwise overflow the stack and
+//! abort the process instead of returning an error.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts. Scenario specs, obs
+/// snapshots and `engine_perf` reports nest fewer than ten levels; the cap
+/// only exists to turn hostile input into a [`JsonErrorKind::TooDeep`]
+/// error well before the parser's recursion could exhaust a thread stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Object keys keep their source order — the canonical
 /// writer re-orders them per the spec schema, not here.
@@ -45,11 +55,22 @@ impl Value {
     }
 }
 
+/// What class of failure a [`JsonError`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The input is not well-formed (or not canonical-safe) JSON.
+    Syntax,
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A parse failure with the byte offset it happened at.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
     /// Byte offset into the input.
     pub offset: usize,
+    /// Failure class.
+    pub kind: JsonErrorKind,
     /// Human-readable description.
     pub detail: String,
 }
@@ -67,6 +88,7 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -80,12 +102,15 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, detail: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
+            kind: JsonErrorKind::Syntax,
             detail: detail.into(),
         }
     }
@@ -111,8 +136,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -121,6 +146,25 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one nesting level deeper, failing with
+    /// [`JsonErrorKind::TooDeep`] past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError {
+                offset: self.pos,
+                kind: JsonErrorKind::TooDeep,
+                detail: format!("nesting deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Value) -> Result<Value, JsonError> {
@@ -147,6 +191,7 @@ impl<'a> Parser<'a> {
             if fields.iter().any(|(k, _)| *k == key) {
                 return Err(JsonError {
                     offset: key_offset,
+                    kind: JsonErrorKind::Syntax,
                     detail: format!("duplicate key {key:?}"),
                 });
             }
@@ -322,11 +367,13 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         let value: f64 = text.parse().map_err(|_| JsonError {
             offset: start,
+            kind: JsonErrorKind::Syntax,
             detail: format!("unparseable number {text:?}"),
         })?;
         if !value.is_finite() {
             return Err(JsonError {
                 offset: start,
+                kind: JsonErrorKind::Syntax,
                 detail: format!("number {text:?} overflows f64"),
             });
         }
@@ -496,6 +543,27 @@ mod tests {
         s.clear();
         write_num(&mut s, 1.25);
         assert_eq!(s, "1.25");
+    }
+
+    #[test]
+    fn deep_array_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(50_000)).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep, "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+    }
+
+    #[test]
+    fn deep_object_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"{\"a\":".repeat(50_000)).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep, "{err}");
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(parse(&over).unwrap_err().kind, JsonErrorKind::TooDeep);
     }
 
     #[test]

@@ -18,9 +18,9 @@ use wakeup_sim::TICKS_PER_UNIT;
 /// The only spec version this crate reads or writes.
 pub const SPEC_VERSION: u64 = 1;
 
-/// Largest node count a spec may describe (the engines' relabeling
-/// eligibility bound; anything bigger belongs in `engine_perf`, not a
-/// declarative scenario).
+/// Largest node count a spec may describe: an input cap that keeps a
+/// hand-written or fuzzed spec from requesting an arbitrarily large build.
+/// Anything bigger belongs in `engine_perf`, not a declarative scenario.
 pub const MAX_NODES: usize = 1 << 20;
 
 /// Seeds and salts must be exactly representable through the JSON `f64`
@@ -1157,6 +1157,17 @@ mod tests {
             ScenarioSpec::parse(&doc).unwrap_err(),
             SpecError::UnknownField { .. }
         ));
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_json_error_not_an_abort() {
+        for doc in ["[".repeat(50_000), "{\"a\":".repeat(50_000)] {
+            let err = ScenarioSpec::parse(&doc).unwrap_err();
+            assert!(
+                matches!(&err, SpecError::Json { detail, .. } if detail.contains("nesting")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

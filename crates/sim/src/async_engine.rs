@@ -124,13 +124,7 @@ const WHEEL_WORDS: usize = WHEEL_SIZE / 64;
 #[derive(Clone, Copy, Debug)]
 struct DeliverEntry {
     to: u32,
-    /// Identity runs: the sender's node index. Relabeled runs: a packed
-    /// `(τ − delay, phase, orig sender)` sort key from
-    /// [`crate::network::pack_entry_key`] — a stable ascending sort of a
-    /// receiver's batch by this key restores the identity-space batch
-    /// order, and masking with [`crate::network::FROM_IDX_MASK`] recovers
-    /// the original sender index. Identity runs mask with `u32::MAX`, so
-    /// one masked load serves both paths.
+    /// The sender's node index.
     from: u32,
     /// Receiver-side port number (1-based).
     rport: u32,
@@ -249,15 +243,7 @@ impl TimerWheel {
 /// strategy's choices, matching the paper's channel model.
 pub struct AsyncEngine<'n, P: AsyncProtocol> {
     net: crate::network::NetHandle<'n>,
-    /// Run-space tables when `space` is set, the original-id tables
-    /// otherwise.
     tables: Arc<NodeTables>,
-    /// The network's locality-ordered run space, when this engine may use
-    /// it (chosen at construction: trace/audit recording pins the engine to
-    /// identity execution). Individual runs additionally require a
-    /// forkable — i.e. history-free — delay strategy and fall back to
-    /// identity space otherwise.
-    space: Option<Arc<crate::network::RunSpace>>,
     config: AsyncConfig,
     protocols: Vec<P>,
     scratch: AsyncScratch<P::Msg>,
@@ -364,29 +350,11 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
     }
 
     fn with_handle(net: crate::network::NetHandle<'n>, config: AsyncConfig) -> AsyncEngine<'n, P> {
-        // Trace and audit logs expose per-event ordering, which relabeled
-        // execution permutes within ticks — those runs stay in identity
-        // space for their whole lifetime.
-        #[allow(unused_mut)]
-        let mut identity_only = config.trace_capacity.is_some();
-        #[cfg(feature = "audit")]
-        {
-            identity_only = identity_only || config.audit_capacity.is_some();
-        }
-        let space = if identity_only {
-            None
-        } else {
-            net.run_space().cloned()
-        };
-        let tables = match &space {
-            Some(s) => Arc::clone(&s.tables),
-            None => Arc::clone(net.tables()),
-        };
+        let tables = Arc::clone(net.tables());
         let mut protocols = Vec::with_capacity(net.n());
         crate::protocol::for_each_node_init(
             &net,
             &tables,
-            space.as_ref().map(|s| &*s.rel),
             config.seed,
             config.shared_seed,
             config.advice.as_deref().map(Vec::as_slice),
@@ -396,7 +364,6 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         AsyncEngine {
             net,
             tables,
-            space,
             config,
             protocols,
             scratch: AsyncScratch {
@@ -422,7 +389,6 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         crate::protocol::for_each_node_init(
             &self.net,
             &self.tables,
-            self.space.as_ref().map(|s| &*s.rel),
             seed,
             self.config.shared_seed,
             self.config.advice.as_deref().map(Vec::as_slice),
@@ -468,23 +434,8 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         if let Some(forks) = self.sharded_eligible(delays) {
             return self.run_sharded(schedule, forks);
         }
-        // Relabel eligibility beyond the construction-time gate: the delay
-        // strategy must be a pure function of its arguments (the `fork`
-        // contract) — a relabeled run calls it in a different within-tick
-        // interleaving, so hidden sequential state would change delays.
-        // Ineligible runs execute in identity space over the original
-        // tables; the output is byte-identical either way.
-        let space = match &self.space {
-            Some(s) if delays.fork().is_some() => Some(Arc::clone(s)),
-            _ => None,
-        };
-        let rel = space.as_ref().map(|s| &*s.rel);
         let net = &*self.net;
-        let tables: &NodeTables = if self.space.is_some() && space.is_none() {
-            self.net.tables()
-        } else {
-            &self.tables
-        };
+        let tables = &*self.tables;
         let config = &self.config;
         let n = net.n();
         self.scratch.wheel.clear();
@@ -495,28 +446,13 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             self.scratch.pending.resize_with(n, Vec::new);
         }
         // Canonical wake order: (tick, node id), not schedule entry order.
-        // Relabeled runs sort by run id — the packed entry keys restore the
-        // identity engine's per-receiver delivery order afterwards.
         let mut wakes: Vec<(u64, NodeId)> = schedule.entries().to_vec();
-        if let Some(rel) = rel {
-            for w in &mut wakes {
-                w.1 = NodeId::new(rel.to_run(w.1.index()));
-            }
-            rel.permute_to_run(&mut self.protocols);
-        }
         wakes.sort_unstable_by_key(|&(tick, v)| (tick, v));
         let mut st = RunState {
             net,
             send_run: crate::obs::PairRun::new(),
             tables,
             config,
-            rel,
-            from_mask: if rel.is_some() {
-                crate::network::FROM_IDX_MASK
-            } else {
-                u32::MAX
-            },
-            phase: 0,
             protocols: &mut self.protocols,
             metrics: Metrics::new(n),
             obs: crate::obs::Obs::with_windows(n, config.obs, config.obs_windows),
@@ -555,7 +491,6 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             loop {
                 // Phase 0: schedule wakes at `now`, ascending node id (the
                 // canonical within-tick order — see the module docs).
-                st.phase = 0;
                 while wake_cursor < wakes.len() && wakes[wake_cursor].0 == now {
                     let v = wakes[wake_cursor].1;
                     wake_cursor += 1;
@@ -566,10 +501,7 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
                 }
                 // Phase 1: deliveries at `now`, one batch per receiver,
                 // receivers ascending. The scatter keeps each receiver's
-                // entries in bucket — i.e. channel send — order; relabeled
-                // runs re-sort each batch by the packed entry key to
-                // restore the identity engine's order.
-                st.phase = 1;
+                // entries in bucket — i.e. channel send — order.
                 let bucket = st.wheel.take_bucket(now);
                 processed += bucket.len() as u64;
                 st.obs.tl_delivered(now, bucket.len() as u64);
@@ -581,20 +513,14 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
                     pend.push(e);
                 }
                 touched.sort_unstable();
-                let relabeled = st.rel.is_some();
                 for (i, &to) in touched.iter().enumerate() {
                     // Pull the next receiver's protocol row and scatter
-                    // list toward the cache while this batch is handled —
-                    // after relabeling, consecutive receivers are adjacent
-                    // in memory, so one line often covers several.
+                    // list toward the cache while this batch is handled.
                     if let Some(&nx) = touched.get(i + 1) {
                         crate::prefetch::prefetch_index(st.protocols, nx as usize);
                         crate::prefetch::prefetch_index(&pending, nx as usize);
                     }
                     let mut pend = std::mem::take(&mut pending[to as usize]);
-                    if relabeled && pend.len() > 1 {
-                        pend.sort_by_key(|e| e.from);
-                    }
                     if obs_full {
                         batch_run.note(&mut st.obs.batch_sizes, pend.len() as u64);
                     }
@@ -648,9 +574,8 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         st.obs.runtime.shards = 1;
         st.obs.runtime.arena_high_water = st.arena.high_water() as u64;
         st.obs.runtime.prefetch_batches = st.obs.batch_sizes.count();
-        st.obs.runtime.relabel_applied = rel.is_some();
         crate::obs::add_global_events(processed);
-        let mut report = RunReport {
+        let report = RunReport {
             all_awake: st.awake_count == n,
             rounds: 0,
             outputs: st.outputs,
@@ -663,10 +588,6 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         };
         self.scratch.entries_buf = st.entries_buf;
         self.scratch.batch_buf = st.batch_buf;
-        if let Some(rel) = rel {
-            crate::network::unpermute_report(rel, &mut report);
-            rel.permute_to_orig(&mut self.protocols);
-        }
         report
     }
 
@@ -717,12 +638,6 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         let net = &*self.net;
         let tables = &*self.tables;
         let config = &self.config;
-        // `sharded_eligible` demands a forkable strategy per shard, so a
-        // sharded run on a network with a run space always relabels (no
-        // run-time fallback as in the serial path). `self.tables` is already
-        // the run-space table set, and the shard plan's contiguous node
-        // ranges are therefore contiguous in locality order.
-        let rel = self.space.as_deref().map(|s| &*s.rel);
         let n = net.n();
         let plan = ShardPlan::new(n, config.shards);
         let k = plan.k;
@@ -732,12 +647,6 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         self.scratch.channel_next.fill(0);
         self.scratch.channel_seq.fill(0);
         let mut wakes_all: Vec<(u64, NodeId)> = schedule.entries().to_vec();
-        if let Some(rel) = rel {
-            for w in &mut wakes_all {
-                w.1 = NodeId::new(rel.to_run(w.1.index()));
-            }
-            rel.permute_to_run(&mut self.protocols);
-        }
         wakes_all.sort_unstable_by_key(|&(tick, v)| (tick, v));
         let mut metrics = Metrics::new(n);
         let mut outputs: Vec<Option<u64>> = vec![None; n];
@@ -821,12 +730,6 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
                 wakes,
                 cursor: 0,
                 delays: fork_it.next().unwrap(),
-                rel,
-                from_mask: if rel.is_some() {
-                    crate::network::FROM_IDX_MASK
-                } else {
-                    u32::MAX
-                },
                 phase: 0,
                 staged_min: u64::MAX,
                 new_events: 0,
@@ -900,9 +803,8 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         obs.events = processed;
         obs.runtime.stall_rounds = stall_rounds;
         obs.runtime.prefetch_batches = obs.batch_sizes.count();
-        obs.runtime.relabel_applied = rel.is_some();
         crate::obs::add_global_events(processed);
-        let mut report = RunReport {
+        RunReport {
             all_awake,
             rounds: 0,
             outputs,
@@ -912,12 +814,7 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             obs,
             #[cfg(feature = "audit")]
             audit_log: None,
-        };
-        if let Some(rel) = rel {
-            crate::network::unpermute_report(rel, &mut report);
-            rel.permute_to_orig(&mut self.protocols);
         }
-        report
     }
 }
 
@@ -932,17 +829,6 @@ struct RunState<'e, P: AsyncProtocol> {
     send_run: crate::obs::PairRun,
     tables: &'e NodeTables,
     config: &'e AsyncConfig,
-    /// `Some` iff this run executes in the locality-ordered run space: node
-    /// indices in `awake`/`outputs`/`protocols`/metrics arrays are run ids,
-    /// and pending-entry `from` fields carry packed sort keys.
-    rel: Option<&'e wakeup_graph::Relabeling>,
-    /// Extracts the original sender index from an entry's `from` field
-    /// ([`crate::network::FROM_IDX_MASK`] when relabeled, all-ones when
-    /// not — one masked load serves both paths).
-    from_mask: u32,
-    /// Current within-tick phase (0 = schedule wakes, 1 = deliveries),
-    /// mirrored from the main loop for span keys and packed entry keys.
-    phase: u8,
     protocols: &'e mut [P],
     metrics: Metrics,
     /// Always-on observability accumulator (histograms, phases, wake preds).
@@ -979,15 +865,10 @@ impl<P: AsyncProtocol> RunState<'_, P> {
         tick: u64,
         delays: &mut dyn DelayStrategy,
     ) {
-        // `v` is a run id when relabeled; everything the outside world can
-        // see (trace, audit, the protocol's Context) gets the original id.
-        let ov = self
-            .rel
-            .map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
         if let Some(tr) = self.trace.as_mut() {
             tr.record(TraceEvent::Wake {
                 tick,
-                node: ov,
+                node: v,
                 cause,
             });
         }
@@ -995,7 +876,7 @@ impl<P: AsyncProtocol> RunState<'_, P> {
         if let Some(log) = self.audit.as_mut() {
             log.record(crate::audit::AuditEvent::Wake {
                 tick,
-                node: ov.index() as u32,
+                node: v.index() as u32,
                 cause,
             });
             // A node consults its advice exactly when it wakes; the length
@@ -1004,8 +885,8 @@ impl<P: AsyncProtocol> RunState<'_, P> {
             if let Some(advice) = self.config.advice.as_deref() {
                 log.record(crate::audit::AuditEvent::AdviceRead {
                     tick,
-                    node: ov.index() as u32,
-                    bits: advice[ov.index()].len() as u32,
+                    node: v.index() as u32,
+                    bits: advice[v.index()].len() as u32,
                 });
             }
         }
@@ -1018,15 +899,10 @@ impl<P: AsyncProtocol> RunState<'_, P> {
         if self.awake_count == self.awake.len() {
             self.metrics.all_awake_tick = Some(tick);
         }
-        if self.rel.is_some() {
-            self.obs
-                .phases
-                .set_handler(tick, self.phase, ov.index() as u32);
-        }
         let mut entries = std::mem::take(&mut self.entries_buf);
         let mut ctx = Context::new(
-            ov,
-            self.net.graph().degree(ov),
+            v,
+            self.net.graph().degree(v),
             self.net.mode(),
             self.tables.id_to_port(v.index()),
             &mut entries,
@@ -1055,9 +931,6 @@ impl<P: AsyncProtocol> RunState<'_, P> {
         delays: &mut dyn DelayStrategy,
     ) {
         let to = NodeId::new(entries[0].to as usize);
-        let ot = self
-            .rel
-            .map_or(to, |rel| NodeId::new(rel.to_orig(to.index())));
         self.metrics.received_by[to.index()] += entries.len() as u64;
         self.metrics.last_receipt_tick =
             Some(self.metrics.last_receipt_tick.map_or(tick, |t| t.max(tick)));
@@ -1065,8 +938,8 @@ impl<P: AsyncProtocol> RunState<'_, P> {
             for e in entries {
                 tr.record(TraceEvent::Deliver {
                     tick,
-                    from: NodeId::new((e.from & self.from_mask) as usize),
-                    to: ot,
+                    from: NodeId::new(e.from as usize),
+                    to,
                 });
             }
         }
@@ -1077,8 +950,8 @@ impl<P: AsyncProtocol> RunState<'_, P> {
             for e in entries {
                 log.record(crate::audit::AuditEvent::Deliver {
                     tick,
-                    from: e.from & self.from_mask,
-                    to: ot.index() as u32,
+                    from: e.from,
+                    to: to.index() as u32,
                     slot: e.msg.slot(),
                     gen: e.msg.generation(),
                 });
@@ -1093,19 +966,14 @@ impl<P: AsyncProtocol> RunState<'_, P> {
         if !self.awake[to.index()] {
             // The batch's first entry is the delivery that wakes `to`: its
             // sender becomes `to`'s predecessor in the causal wake forest.
-            self.obs
-                .note_wake_pred(to.index(), entries[0].from & self.from_mask);
+            self.obs.note_wake_pred(to.index(), entries[0].from);
             self.wake_node(to, WakeCause::Message, tick, delays);
         }
         let kt1 = self.net.mode() == crate::knowledge::KnowledgeMode::Kt1;
         let mut batch = std::mem::take(&mut self.batch_buf);
         debug_assert!(batch.is_empty());
         for e in entries {
-            let sender_id = kt1.then(|| {
-                self.net
-                    .ids()
-                    .id(NodeId::new((e.from & self.from_mask) as usize))
-            });
+            let sender_id = kt1.then(|| self.net.ids().id(NodeId::new(e.from as usize)));
             batch.push((
                 Incoming {
                     port: Port::new(e.rport as usize),
@@ -1116,14 +984,9 @@ impl<P: AsyncProtocol> RunState<'_, P> {
         }
         let mut inbox = Inbox::new(&mut batch);
         let mut out_entries = std::mem::take(&mut self.entries_buf);
-        if self.rel.is_some() {
-            self.obs
-                .phases
-                .set_handler(tick, self.phase, ot.index() as u32);
-        }
         let mut ctx = Context::new(
-            ot,
-            self.net.graph().degree(ot),
+            to,
+            self.net.graph().degree(to),
             self.net.mode(),
             self.tables.id_to_port(to.index()),
             &mut out_entries,
@@ -1160,24 +1023,16 @@ impl<P: AsyncProtocol> RunState<'_, P> {
         // entry shares the dispatch `tick`); one recorder update per outbox
         // keeps struct-field read-modify-writes off the loop-carried path.
         let (mut tl_sends, mut tl_bits) = (0u64, 0u64);
-        let of = self
-            .rel
-            .map_or(from, |rel| NodeId::new(rel.to_orig(from.index())));
         for (port, r) in entries.drain(..) {
             let slot = self.tables.slot(from, port);
             let hot = self.tables.edge_hot[slot];
             let to = NodeId::new(hot.to as usize);
-            // The delay strategy is part of the oblivious adversary: it
-            // must see original ids regardless of the execution space.
-            let ot = self
-                .rel
-                .map_or(to, |rel| NodeId::new(rel.to_orig(to.index())));
             let bits = self.arena.bits(r);
             if let Some(tr) = self.trace.as_mut() {
                 tr.record(TraceEvent::Send {
                     tick,
-                    from: of,
-                    to: ot,
+                    from,
+                    to,
                     bits,
                 });
             }
@@ -1185,8 +1040,8 @@ impl<P: AsyncProtocol> RunState<'_, P> {
             if let Some(log) = self.audit.as_mut() {
                 log.record(crate::audit::AuditEvent::Send {
                     tick,
-                    from: of.index() as u32,
-                    to: ot.index() as u32,
+                    from: from.index() as u32,
+                    to: to.index() as u32,
                     bits: bits as u32,
                     slot: r.slot(),
                     gen: r.generation(),
@@ -1200,7 +1055,7 @@ impl<P: AsyncProtocol> RunState<'_, P> {
                 self.ports_touched.set(slot);
             }
             let delay = delays
-                .delay_ticks(of, ot, tick, self.channel_seq[slot])
+                .delay_ticks(from, to, tick, self.channel_seq[slot])
                 .clamp(1, TICKS_PER_UNIT);
             self.channel_seq[slot] += 1;
             // FIFO per channel: never deliver before an earlier message on
@@ -1227,11 +1082,7 @@ impl<P: AsyncProtocol> RunState<'_, P> {
             // rides the wheel untouched.
             let entry = DeliverEntry {
                 to: hot.to,
-                from: if self.rel.is_some() {
-                    crate::network::pack_entry_key(deliver - tick, self.phase, of.index() as u32)
-                } else {
-                    from.index() as u32
-                },
+                from: from.index() as u32,
                 rport: hot.rport,
                 msg: r,
             };
@@ -1277,16 +1128,10 @@ struct AsyncShard<'e, P: AsyncProtocol> {
     batch_buf: &'e mut Vec<(Incoming, P::Msg)>,
     stage: &'e mut [Vec<CrossMsg<P::Msg>>],
     drain_buf: &'e mut Vec<CrossMsg<P::Msg>>,
-    /// This shard's schedule wakes, `(tick, id)`-sorted (run ids when
-    /// relabeled — the shard ranges partition run-id space).
+    /// This shard's schedule wakes, `(tick, id)`-sorted.
     wakes: Vec<(u64, NodeId)>,
     cursor: usize,
     delays: Box<dyn DelayStrategy + Send>,
-    /// `Some` iff this run executes in the locality-ordered run space
-    /// (see [`RunState::rel`]).
-    rel: Option<&'e wakeup_graph::Relabeling>,
-    /// Sender-index extraction mask (see [`DeliverEntry::from`]).
-    from_mask: u32,
     /// Current within-tick phase: 0 = schedule wakes, 1 = deliveries.
     phase: u8,
     /// Earliest delivery staged since the last publish.
@@ -1329,13 +1174,6 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             .flush(&mut self.obs.message_bits, &mut self.obs.delay_ticks);
         self.obs.timeline.finish();
         self.obs.arena_high_water = self.arena.high_water() as u64;
-        if self.rel.is_some() {
-            // Relabeled runs skip `stamp_new_spans` (run-order stamping
-            // would capture the wrong first actor); install the tracked
-            // canonical (tick, phase, orig actor) minima instead so the
-            // cross-shard span merge reproduces the identity label order.
-            self.obs.adopt_tracked_keys();
-        }
     }
 
     fn publish_slot(&mut self, slots: &[std::sync::Mutex<AsyncPublished>]) {
@@ -1440,21 +1278,14 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
         }
         touched.sort_unstable();
         let obs_full = self.obs.level == crate::obs::ObsLevel::Full;
-        let relabeled = self.rel.is_some();
         for (i, &to) in touched.iter().enumerate() {
             // Warm the next receiver's protocol state and pending row while
-            // this batch's handler runs; run-space ids make `touched` nearly
-            // contiguous, so the lines are usually still resident when used.
+            // this batch's handler runs.
             if let Some(&nx) = touched.get(i + 1) {
                 crate::prefetch::prefetch_index(self.protocols, nx as usize - self.lo);
                 crate::prefetch::prefetch_index(self.pending, nx as usize - self.lo);
             }
             let mut pend = std::mem::take(&mut self.pending[to as usize - self.lo]);
-            if relabeled && pend.len() > 1 {
-                // Stable sort by packed key restores the identity-space
-                // batch order (see `DeliverEntry::from`).
-                pend.sort_by_key(|e| e.from);
-            }
             if obs_full {
                 self.batch_run
                     .note(&mut self.obs.batch_sizes, pend.len() as u64);
@@ -1475,18 +1306,10 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
         self.obs.tl_wakes(tick, 1);
         self.wake_tick[li] = Some(tick);
         self.sm.first_wake_tick = Some(self.sm.first_wake_tick.map_or(tick, |t| t.min(tick)));
-        let ov = self
-            .rel
-            .map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
-        if self.rel.is_some() {
-            self.obs
-                .phases
-                .set_handler(tick, self.phase, ov.index() as u32);
-        }
         let mut entries = std::mem::take(&mut *self.entries_buf);
         let mut ctx = Context::new(
-            ov,
-            self.net.graph().degree(ov),
+            v,
+            self.net.graph().degree(v),
             self.net.mode(),
             self.tables.id_to_port(v.index()),
             &mut entries,
@@ -1499,9 +1322,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             tick,
         );
         self.protocols[li].on_wake(&mut ctx, cause);
-        if self.rel.is_none() {
-            self.obs.stamp_new_spans(tick, self.phase, v.index() as u32);
-        }
+        self.obs.stamp_new_spans(tick, self.phase, v.index() as u32);
         self.dispatch_outbox(&mut entries, v, tick);
         *self.entries_buf = entries;
     }
@@ -1512,22 +1333,14 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
         self.received_by[li] += entries.len() as u64;
         self.sm.last_receipt_tick = Some(self.sm.last_receipt_tick.map_or(tick, |t| t.max(tick)));
         if !self.awake[li] {
-            self.obs
-                .note_wake_pred(li, entries[0].from & self.from_mask);
+            self.obs.note_wake_pred(li, entries[0].from);
             self.wake_node(to, WakeCause::Message, tick);
         }
-        let ot = self
-            .rel
-            .map_or(to, |rel| NodeId::new(rel.to_orig(to.index())));
         let kt1 = self.net.mode() == crate::knowledge::KnowledgeMode::Kt1;
         let mut batch = std::mem::take(&mut *self.batch_buf);
         debug_assert!(batch.is_empty());
         for e in entries {
-            let sender_id = kt1.then(|| {
-                self.net
-                    .ids()
-                    .id(NodeId::new((e.from & self.from_mask) as usize))
-            });
+            let sender_id = kt1.then(|| self.net.ids().id(NodeId::new(e.from as usize)));
             batch.push((
                 Incoming {
                     port: Port::new(e.rport as usize),
@@ -1537,15 +1350,10 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             ));
         }
         let mut inbox = Inbox::new(&mut batch);
-        if self.rel.is_some() {
-            self.obs
-                .phases
-                .set_handler(tick, self.phase, ot.index() as u32);
-        }
         let mut out_entries = std::mem::take(&mut *self.entries_buf);
         let mut ctx = Context::new(
-            ot,
-            self.net.graph().degree(ot),
+            to,
+            self.net.graph().degree(to),
             self.net.mode(),
             self.tables.id_to_port(to.index()),
             &mut out_entries,
@@ -1559,10 +1367,8 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
         );
         self.protocols[li].on_messages_batch(&mut ctx, &mut inbox);
         drop(inbox);
-        if self.rel.is_none() {
-            self.obs
-                .stamp_new_spans(tick, self.phase, to.index() as u32);
-        }
+        self.obs
+            .stamp_new_spans(tick, self.phase, to.index() as u32);
         self.dispatch_outbox(&mut out_entries, to, tick);
         *self.entries_buf = out_entries;
         *self.batch_buf = batch;
@@ -1579,18 +1385,10 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
         // Register-resident send sums, one recorder update per outbox — the
         // same hot-path discipline as the serial `dispatch_outbox`.
         let (mut tl_sends, mut tl_bits) = (0u64, 0u64);
-        let of = self
-            .rel
-            .map_or(from, |rel| NodeId::new(rel.to_orig(from.index())));
         for (port, r) in entries.drain(..) {
             let slot = self.tables.slot(from, port);
             let hot = self.tables.edge_hot[slot];
             let to = hot.to as usize;
-            // Delay strategies are oblivious-adversary components: they see
-            // original ids regardless of the execution space.
-            let ot = self
-                .rel
-                .map_or(NodeId::new(to), |rel| NodeId::new(rel.to_orig(to)));
             let bits = self.arena.bits(r);
             self.sm.messages_sent += 1;
             self.sm.bits_sent += bits as u64;
@@ -1600,7 +1398,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             let seq = self.channel_seq[ls];
             let delay = self
                 .delays
-                .delay_ticks(of, ot, tick, seq)
+                .delay_ticks(from, NodeId::new(to), tick, seq)
                 .clamp(1, TICKS_PER_UNIT);
             self.channel_seq[ls] = seq + 1;
             let deliver = (tick + delay).max(self.channel_next[ls]);
@@ -1626,11 +1424,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             self.stage[dst * crate::shard::PHASES + self.phase as usize].push(CrossMsg {
                 deliver,
                 to: hot.to,
-                from: if self.rel.is_some() {
-                    crate::network::pack_entry_key(deliver - tick, self.phase, of.index() as u32)
-                } else {
-                    from.index() as u32
-                },
+                from: from.index() as u32,
                 rport: hot.rport,
                 payload,
             });
@@ -2080,9 +1874,9 @@ mod tests {
         assert_eq!(serial.obs.events, sharded.obs.events);
     }
 
-    /// Exercises every output surface the relabeled engine must translate
-    /// back to original ids: outputs keyed by node, phase labels (span
-    /// keys!), wake causality, and per-node traffic counters.
+    /// Exercises every per-node output surface a sharded run must merge:
+    /// outputs keyed by node, phase labels (span keys!), wake causality,
+    /// and per-node traffic counters.
     struct PhasedFlood {
         relayed: bool,
         seen: u64,
@@ -2109,35 +1903,27 @@ mod tests {
         }
     }
 
-    /// The tentpole contract: a relabeled run (the default for eligible
-    /// networks) is byte-identical to an identity-space run of the same
-    /// workload — metrics, outputs, and both observability serializations —
-    /// serial and sharded. The delay adversary is oblivious (keyed on
-    /// original ids), so its choices cannot depend on the internal order.
+    /// A sharded run of a phase-labelling workload under adversarial
+    /// delays is byte-identical to the serial run — metrics, outputs, and
+    /// both observability serializations (whose span table depends on the
+    /// cross-shard first-actor merge).
     #[test]
-    fn relabeled_run_is_byte_identical_to_identity_run() {
+    fn phased_flood_is_byte_identical_across_shard_counts() {
         let g = generators::erdos_renyi_connected(41, 0.12, 13).unwrap();
-        let relabeled = Network::kt0(g.clone(), 5);
-        relabeled.force_relabel();
-        assert!(
-            relabeled.run_space().is_some(),
-            "fixture must actually relabel"
-        );
-        let identity = Network::kt0(g, 5);
-        identity.disable_relabel();
+        let net = Network::kt0(g, 5);
         let all: Vec<NodeId> = (0..41).map(NodeId::new).collect();
         let schedule = WakeSchedule::staggered(&all, 1.7);
-        let run = |net: &Network, shards: usize| {
+        let run = |shards: usize| {
             let config = AsyncConfig {
                 shards,
                 ..AsyncConfig::default()
             };
             let mut delays = AdversarialDelay::new(23);
-            AsyncEngine::<PhasedFlood>::new(net, config).run_with(&schedule, &mut delays)
+            AsyncEngine::<PhasedFlood>::new(&net, config).run_with(&schedule, &mut delays)
         };
-        for shards in [1, 3] {
-            let a = run(&relabeled, shards);
-            let b = run(&identity, shards);
+        let a = run(1);
+        for shards in [2, 3] {
+            let b = run(shards);
             assert_eq!(a.metrics, b.metrics, "shards={shards}");
             assert_eq!(a.outputs, b.outputs, "shards={shards}");
             assert_eq!(a.all_awake, b.all_awake);

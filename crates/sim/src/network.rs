@@ -3,7 +3,7 @@
 use std::sync::{Arc, OnceLock};
 
 use wakeup_graph::rng::Xoshiro256;
-use wakeup_graph::{Graph, NodeId, Relabeling};
+use wakeup_graph::{Graph, NodeId};
 
 use wakeup_store::{Buf, SectionElem};
 
@@ -24,16 +24,6 @@ pub struct Network {
     /// shared (via `Arc`) by every subsequent engine over this network —
     /// including clones, since cloning a populated cell clones the `Arc`.
     tables: OnceLock<Arc<NodeTables>>,
-    /// Locality-ordered run space (RCM relabeling + run-space tables),
-    /// derived lazily like `tables`. `None` once computed means relabeled
-    /// execution is off for this network: the RCM order came out as the
-    /// identity, the node count fell outside the eligible range, or
-    /// `WAKEUP_RELABEL=0` disabled it.
-    run_space: OnceLock<Option<Arc<RunSpace>>>,
-    /// Set by [`Network::force_relabel`] to bypass the [`MIN_RELABEL_N`]
-    /// size heuristic. Shared by clones, like the lazy cells above — the
-    /// run space is a pure function of the network plus this opt-in.
-    relabel_forced: Arc<std::sync::atomic::AtomicBool>,
 }
 
 impl Network {
@@ -50,8 +40,6 @@ impl Network {
             ids,
             mode: KnowledgeMode::Kt0,
             tables: OnceLock::new(),
-            run_space: OnceLock::new(),
-            relabel_forced: Arc::default(),
         }
     }
 
@@ -69,8 +57,6 @@ impl Network {
             ids,
             mode: KnowledgeMode::Kt1,
             tables: OnceLock::new(),
-            run_space: OnceLock::new(),
-            relabel_forced: Arc::default(),
         }
     }
 
@@ -88,8 +74,6 @@ impl Network {
             ids,
             mode,
             tables: OnceLock::new(),
-            run_space: OnceLock::new(),
-            relabel_forced: Arc::default(),
         }
     }
 
@@ -150,152 +134,6 @@ impl Network {
     pub(crate) fn preset_tables(&self, tables: NodeTables) {
         let _ = self.tables.set(Arc::new(tables));
     }
-
-    /// The locality-ordered run space (RCM relabeling plus run-space
-    /// tables), built on first use and cached exactly like
-    /// [`Network::tables`]. Returns `None` when relabeled execution is a
-    /// no-op or unavailable for this network: the RCM order is the
-    /// identity, `n` exceeds [`MAX_RELABEL_N`] (the engines' packed
-    /// sort-key budget), `n` is below [`MIN_RELABEL_N`] without a force
-    /// ([`Network::force_relabel`] or `WAKEUP_RELABEL=1`), or
-    /// `WAKEUP_RELABEL=0` is set.
-    pub(crate) fn run_space(&self) -> Option<&Arc<RunSpace>> {
-        self.run_space
-            .get_or_init(|| {
-                if self.n() < 2 || self.n() > MAX_RELABEL_N || relabel_disabled_by_env() {
-                    return None;
-                }
-                let forced = self
-                    .relabel_forced
-                    .load(std::sync::atomic::Ordering::Relaxed)
-                    || relabel_forced_by_env();
-                if self.n() < MIN_RELABEL_N && !forced {
-                    return None;
-                }
-                let rel = Relabeling::locality(&self.graph);
-                if rel.is_identity() {
-                    return None;
-                }
-                let rel = Arc::new(rel);
-                let tables = Arc::new(NodeTables::build_relabeled(self, &rel));
-                Some(Arc::new(RunSpace { rel, tables }))
-            })
-            .as_ref()
-    }
-
-    /// Installs a run space reloaded from the persistent artifact store
-    /// (the counterpart of [`Network::preset_tables`] for relabeled bakes).
-    pub(crate) fn preset_run_space(&self, rel: Relabeling, tables: NodeTables) {
-        let _ = self.run_space.set(Some(Arc::new(RunSpace {
-            rel: Arc::new(rel),
-            tables: Arc::new(tables),
-        })));
-    }
-
-    /// Forces identity execution on this network by pre-empting the lazy
-    /// run-space cell with `None`. Only effective before the first engine
-    /// touches the network; used by the relabeled-vs-identity differential
-    /// tests (and harmless to call later — the cell just keeps whatever it
-    /// already holds).
-    pub fn disable_relabel(&self) {
-        let _ = self.run_space.set(None);
-    }
-
-    /// Opts this network into relabeled execution regardless of the
-    /// [`MIN_RELABEL_N`] size heuristic (the `n`-range and env gates still
-    /// apply). Only effective before the first engine touches the network;
-    /// used by the relabeled-vs-identity differential tests and the
-    /// relabeled-bake round-trip tests, which need run spaces on networks
-    /// far too small to clear the default threshold.
-    pub fn force_relabel(&self) {
-        self.relabel_forced
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
-/// Bits of a relabeled run's packed entry key that hold the original
-/// sender index (the low field; see [`pack_entry_key`]).
-pub(crate) const FROM_IDX_BITS: u32 = 20;
-
-/// Mask extracting the original sender index from a packed entry key.
-/// Identity runs store the plain sender index in the same field and use a
-/// mask of `u32::MAX`, so one masked load serves both paths.
-pub(crate) const FROM_IDX_MASK: u32 = (1 << FROM_IDX_BITS) - 1;
-
-/// Largest node count eligible for relabeled execution: the engines
-/// canonicalize per-receiver delivery order with a packed `u32` sort key
-/// that reserves [`FROM_IDX_BITS`] bits for the original sender index.
-pub(crate) const MAX_RELABEL_N: usize = 1 << FROM_IDX_BITS;
-
-/// Smallest node count where relabeled execution is on by default.
-///
-/// Relabeling trades a per-delivery cost (packing/sorting the entry keys
-/// that restore identity delivery order, plus the boundary translation)
-/// for cache locality in the table walks. Below this threshold the hot
-/// tables of a sparse network fit comfortably in cache, so there is no
-/// locality win to buy and the overhead shows up as a straight throughput
-/// loss; above it the win dominates (the 10⁶-node flood runs ~1.5× faster
-/// relabeled). `WAKEUP_RELABEL=1` or [`Network::force_relabel`] overrides
-/// the heuristic for differential tests and experiments.
-pub(crate) const MIN_RELABEL_N: usize = 1 << 18;
-
-/// The packed `from` field of a relabeled run's pending-delivery entry.
-///
-/// Identity engines process a tick's deliveries as one batch per receiver
-/// in bucket-insertion (= chronological send) order, which is
-/// `(send tick, engine phase, original actor, outbox position)`-ascending.
-/// A relabeled run inserts in *run* order, so each per-receiver batch is
-/// stable-sorted by this key before delivery, restoring exactly that
-/// order: for a fixed delivery tick, ascending `τ − Δ` (Δ = delivery −
-/// send ∈ [1, τ], guaranteed by the wheel-horizon invariant) is ascending
-/// send tick; then the phase bit; then the original sender index. Entries
-/// with equal keys come from one handler invocation and stable sorting
-/// keeps their outbox order.
-#[inline]
-pub(crate) fn pack_entry_key(delta_ticks: u64, phase: u8, orig_from: u32) -> u32 {
-    debug_assert!((1..=crate::metrics::TICKS_PER_UNIT).contains(&delta_ticks));
-    debug_assert!(orig_from <= FROM_IDX_MASK && phase <= 1);
-    (((crate::metrics::TICKS_PER_UNIT - delta_ticks) as u32) << (FROM_IDX_BITS + 1))
-        | (u32::from(phase) << FROM_IDX_BITS)
-        | orig_from
-}
-
-/// Translates a relabeled run's report back into original-id space at the
-/// run boundary: one inverse-permute pass over every per-node array plus
-/// the canonical re-sort of the phase-span table. Scalar metrics and
-/// histograms are order/space-invariant and need no translation.
-pub(crate) fn unpermute_report(rel: &Relabeling, report: &mut crate::metrics::RunReport) {
-    rel.permute_to_orig(&mut report.outputs);
-    rel.permute_to_orig(&mut report.metrics.wake_tick);
-    rel.permute_to_orig(&mut report.metrics.sent_by);
-    rel.permute_to_orig(&mut report.metrics.received_by);
-    if let Some(ports) = report.metrics.ports_used.as_mut() {
-        rel.permute_to_orig(ports);
-    }
-    let mut wake_pred = report.obs.take_wake_pred();
-    rel.permute_to_orig(&mut wake_pred);
-    report.obs.set_wake_pred(wake_pred);
-    report.obs.phases.finish_key_order();
-}
-
-pub(crate) fn relabel_disabled_by_env() -> bool {
-    std::env::var("WAKEUP_RELABEL").is_ok_and(|v| v.trim() == "0")
-}
-
-/// `WAKEUP_RELABEL=1` forces relabeled execution on every eligible network
-/// regardless of the [`MIN_RELABEL_N`] size heuristic.
-pub(crate) fn relabel_forced_by_env() -> bool {
-    std::env::var("WAKEUP_RELABEL").is_ok_and(|v| v.trim() == "1")
-}
-
-/// A network's locality-ordered execution space: the RCM [`Relabeling`]
-/// and the [`NodeTables`] rebuilt over run-space ids. Engines that pass
-/// the relabel-eligibility gate run entirely in this space and translate
-/// back to original ids at the metrics/obs boundary.
-#[derive(Debug)]
-pub(crate) struct RunSpace {
-    pub rel: Arc<Relabeling>,
-    pub tables: Arc<NodeTables>,
 }
 
 /// Two networks are equal when all adversarial choices agree: topology,
@@ -433,30 +271,12 @@ impl NodeTables {
     /// output slices are disjoint — the result is byte-identical at any
     /// thread count, which the 1-vs-4-thread CI diff pins end to end.
     pub(crate) fn build_with_threads(net: &Network, threads: usize) -> NodeTables {
-        Self::build_in_space(net, threads, None)
-    }
-
-    /// Run-space tables: row `r` describes original node `rel.to_orig(r)`,
-    /// with every neighbor index translated into run space. Content that
-    /// engines expose verbatim (neighbor IDs, reverse ports, `id_to_port`)
-    /// is per-node-invariant and carried over untranslated.
-    pub(crate) fn build_relabeled(net: &Network, rel: &Relabeling) -> NodeTables {
-        let threads = if net.n() < PARALLEL_BUILD_MIN_N {
-            1
-        } else {
-            build_threads()
-        };
-        Self::build_in_space(net, threads, Some(rel))
-    }
-
-    fn build_in_space(net: &Network, threads: usize, rel: Option<&Relabeling>) -> NodeTables {
         let n = net.n();
-        let orig_of = |r: usize| rel.map_or(r, |rel| rel.to_orig(r));
         let mut edge_offset = Vec::with_capacity(n + 1);
         edge_offset.push(0usize);
-        for r in 0..n {
-            let deg = net.graph().degree(NodeId::new(orig_of(r)));
-            edge_offset.push(edge_offset[r] + deg);
+        for v in 0..n {
+            let deg = net.graph().degree(NodeId::new(v));
+            edge_offset.push(edge_offset[v] + deg);
         }
         let dir_edges = edge_offset[n];
         let kt1 = net.mode() == KnowledgeMode::Kt1;
@@ -468,7 +288,6 @@ impl NodeTables {
             fill_node_range(
                 net,
                 &edge_offset,
-                rel,
                 0,
                 n,
                 &mut neighbor_ids,
@@ -491,16 +310,7 @@ impl NodeTables {
                     let (ip_head, ip_tail) = ip.split_at_mut(ids_here);
                     let (eh_head, eh_tail) = eh.split_at_mut(edges_here);
                     scope.spawn(move || {
-                        fill_node_range(
-                            net,
-                            offsets,
-                            rel,
-                            base,
-                            hi - base,
-                            nb_head,
-                            ip_head,
-                            eh_head,
-                        );
+                        fill_node_range(net, offsets, base, hi - base, nb_head, ip_head, eh_head);
                     });
                     nb = nb_tail;
                     ip = ip_tail;
@@ -575,15 +385,12 @@ impl NodeTables {
     }
 }
 
-/// Fills the table rows for the `count` contiguous rows starting at `base`;
-/// the edge slices start at directed slot `edge_offset[base]` (the ID
-/// slices are empty under KT0). With `rel` set, row `r` describes original
-/// node `rel.to_orig(r)` and neighbor indices land in run space.
-#[allow(clippy::too_many_arguments)]
+/// Fills the table rows for the `count` contiguous nodes starting at
+/// `base`; the edge slices start at directed slot `edge_offset[base]` (the
+/// ID slices are empty under KT0).
 fn fill_node_range(
     net: &Network,
     edge_offset: &[usize],
-    rel: Option<&Relabeling>,
     base: usize,
     count: usize,
     neighbor_ids: &mut [u64],
@@ -593,7 +400,7 @@ fn fill_node_range(
     let kt1 = net.mode() == KnowledgeMode::Kt1;
     let edge_base = edge_offset[base];
     for i in 0..count {
-        let v = NodeId::new(rel.map_or(base + i, |rel| rel.to_orig(base + i)));
+        let v = NodeId::new(base + i);
         let deg = net.graph().degree(v);
         let slot0 = edge_offset[base + i] - edge_base;
         if kt1 {
@@ -614,9 +421,8 @@ fn fill_node_range(
                 .ports()
                 .port_to(w, v)
                 .expect("port maps are bijections onto neighbors");
-            let to = rel.map_or(w.index(), |rel| rel.to_run(w.index()));
             edge_hot[slot0 + p - 1] = EdgeHot {
-                to: u32::try_from(to).expect("node index fits u32"),
+                to: u32::try_from(w.index()).expect("node index fits u32"),
                 rport: u32::try_from(back.number()).expect("port fits u32"),
             };
         }

@@ -334,43 +334,19 @@ pub struct PhaseSpan {
 
 /// Phase span accumulator: a tiny label-keyed table (linear scan — the label
 /// set is a handful of `&'static str`s, so a map would be slower).
-///
-/// In relabeled runs (see `network::RunSpace`) handlers execute in *run*
-/// order, which permutes actors within a `(tick, phase)` segment, so the
-/// first-entered order of labels can differ from the identity run's. The
-/// engines then enable canonical-key tracking: before each handler they call
-/// [`PhaseSpans::set_handler`] with the **original** actor id, `enter` keeps
-/// the minimal [`SpanKey`] per label, and [`PhaseSpans::finish_key_order`]
-/// re-sorts the table into the identity run's first-entered order.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseSpans {
     spans: Vec<PhaseSpan>,
-    /// Canonical minimal first-enter key per span (parallel to `spans`);
-    /// populated only while key tracking is active.
-    keys: Vec<SpanKey>,
-    /// Current handler's `(tick, engine phase, original actor)` while key
-    /// tracking is active; `None` (the default) disables tracking entirely.
-    cur: Option<(u64, u8, u32)>,
-    /// Monotone tie-breaker ordering labels first entered by one handler.
-    seq: u32,
 }
 
 impl PhaseSpans {
     /// Records an entry into the phase `label` at `tick`.
     #[inline]
     pub fn enter(&mut self, label: &'static str, tick: u64) {
-        for (i, s) in self.spans.iter_mut().enumerate() {
+        for s in self.spans.iter_mut() {
             if std::ptr::eq(s.label, label) || s.label == label {
                 s.enters += 1;
                 s.last_tick = tick;
-                if let Some((t, p, a)) = self.cur {
-                    if let Some(k) = self.keys.get_mut(i) {
-                        if (t, p, a) < (k.0, k.1, k.2) {
-                            *k = (t, p, a, self.seq);
-                            self.seq += 1;
-                        }
-                    }
-                }
                 return;
             }
         }
@@ -380,42 +356,6 @@ impl PhaseSpans {
             first_tick: tick,
             last_tick: tick,
         });
-        if let Some((t, p, a)) = self.cur {
-            self.keys.push((t, p, a, self.seq));
-            self.seq += 1;
-        }
-    }
-
-    /// Marks the handler about to run (relabeled runs only): subsequent
-    /// `enter` calls are attributed to `(tick, phase, actor)` with `actor`
-    /// the **original** node index. The first call also switches canonical
-    /// key tracking on for the whole run.
-    #[inline(always)]
-    pub(crate) fn set_handler(&mut self, tick: u64, phase: u8, actor: u32) {
-        self.cur = Some((tick, phase, actor));
-    }
-
-    /// Ends key tracking and re-sorts the spans into the identity run's
-    /// first-entered order (ascending canonical key). No-op if tracking was
-    /// never switched on.
-    pub(crate) fn finish_key_order(&mut self) {
-        if self.cur.take().is_none() {
-            return;
-        }
-        let keys = std::mem::take(&mut self.keys);
-        debug_assert_eq!(keys.len(), self.spans.len());
-        let mut pairs: Vec<(SpanKey, PhaseSpan)> =
-            keys.into_iter().zip(self.spans.drain(..)).collect();
-        pairs.sort_by_key(|&(k, _)| k);
-        self.spans = pairs.into_iter().map(|(_, s)| s).collect();
-    }
-
-    /// Hands out the tracked canonical keys (relabeled sharded runs adopt
-    /// them as the shard's [`SpanKey`]s in place of tail-stamping) and ends
-    /// tracking.
-    pub(crate) fn take_keys(&mut self) -> Vec<SpanKey> {
-        self.cur = None;
-        std::mem::take(&mut self.keys)
     }
 
     /// The recorded spans, in first-entered order.
@@ -452,7 +392,7 @@ pub struct CriticalPath {
 
 /// Machine- and configuration-dependent engine internals recorded alongside
 /// a run: shard progress/imbalance, timer-wheel scan depth, payload-arena
-/// high-water, prefetch batching, and relabel usage.
+/// high-water, and prefetch batching.
 ///
 /// These are *diagnostics*, deliberately excluded from the deterministic
 /// schema-4 [`ObsSnapshot::to_json`]/[`ObsSnapshot::to_prometheus`]
@@ -480,7 +420,9 @@ pub struct RuntimeCounters {
     /// Coordinator barrier rounds in which no shard processed any event
     /// (pure horizon-advance stalls; 0 on the serial path).
     pub stall_rounds: u64,
-    /// Whether a bake-time locality relabeling was active for this run.
+    /// Always `false`: the engines execute in identity node order. Kept so
+    /// existing readers of the diag export (and its `relabel_applied` key)
+    /// keep working; slated for removal with them.
     pub relabel_applied: bool,
 }
 
@@ -589,18 +531,6 @@ impl Obs {
     #[inline]
     pub(crate) fn clear_wake_pred(&mut self, node: usize) {
         self.wake_pred[node] = NO_PRED;
-    }
-
-    /// Takes the raw predecessor array out (relabeled runs index it by *run*
-    /// id during execution and inverse-permute it back to original ids at
-    /// the run boundary; the stored *values* are always original ids).
-    pub(crate) fn take_wake_pred(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.wake_pred)
-    }
-
-    /// Restores a predecessor array taken by [`Obs::take_wake_pred`].
-    pub(crate) fn set_wake_pred(&mut self, v: Vec<u32>) {
-        self.wake_pred = v;
     }
 
     /// Per-node wake latency (ticks past the first adversary wake), built on
@@ -811,14 +741,6 @@ impl ShardObs {
             self.span_keys.push((tick, phase, actor, idx));
         }
     }
-
-    /// Relabeled sharded runs: replaces the tail-stamped keys with the
-    /// canonical per-label minimal keys tracked inside [`PhaseSpans`]
-    /// (stamped with **original** actor ids via `set_handler`), so the
-    /// merge re-sorts labels into the identity run's first-entered order.
-    pub(crate) fn adopt_tracked_keys(&mut self) {
-        self.span_keys = self.phases.take_keys();
-    }
 }
 
 /// Merges per-shard observers (ascending shard order, covering node ranges
@@ -866,7 +788,6 @@ pub(crate) fn merge_shard_obs(n: usize, level: ObsLevel, shards: &[ShardObs]) ->
     merged.sort_by_key(|&(k, _)| k);
     obs.phases = PhaseSpans {
         spans: merged.into_iter().map(|(_, s)| s).collect(),
-        ..PhaseSpans::default()
     };
     obs
 }

@@ -47,7 +47,7 @@ pub const MAX_LINEAR_WINDOWS: u32 = 4096;
 
 impl WindowCfg {
     /// The window a logical tick falls in — a pure function of the tick, so
-    /// attribution is identical across threads, shards, and relabelings.
+    /// attribution is identical across threads and shards.
     #[inline(always)]
     pub fn window_of(self, tick: u64) -> u32 {
         match self {

@@ -22,12 +22,6 @@
 //! guaranteed layout, and at 12 bytes per directed edge only under KT1 it
 //! is nowhere near the reload budget.
 //!
-//! Networks with a locality run space bake their table sections in *run*
-//! space alongside the [`tag::PERM`] permutation and the run-space prefix
-//! sums ([`tag::TBL_OFFSETS`] — permuted degrees cannot share
-//! [`tag::OFFSETS`]); reload presets the run space directly, so the RCM
-//! relabeling is never recomputed on the artifact hot path.
-//!
 //! This module contains no `unsafe` (the crate denies it outside the one
 //! `PortEntry` layout marker); all zero-copy machinery lives behind safe
 //! buffers returned by `wakeup-store`. Integrity on the mmap path is the
@@ -80,16 +74,9 @@ mod tag {
     /// u64 ID half of the flat `(id, port)` tables (empty under KT0).
     pub const TBL_I2P_ID: u32 = 12;
     /// u32 port half of the flat `(id, port)` tables (empty under KT0).
+    /// (Tags 14/15 held a node permutation and its prefix sums in format 3
+    /// and are retired.)
     pub const TBL_I2P_PORT: u32 = 13;
-    /// u32 run→orig locality relabeling (`Relabeling::to_orig`). Empty when
-    /// the network has no run space (identity RCM order, too many nodes for
-    /// the packed sort keys, or `WAKEUP_RELABEL=0` at bake time); when
-    /// non-empty, every table section is stored in run space.
-    pub const PERM: u32 = 14;
-    /// u64 run-space degree prefix sums, `n + 1` entries — present exactly
-    /// when [`PERM`] is non-empty (run-space tables index by relabeled
-    /// degrees, so they cannot share [`OFFSETS`]).
-    pub const TBL_OFFSETS: u32 = 15;
     /// u64 per-node advice bit lengths, `n` entries.
     pub const ADV_LENS: u32 = 20;
     /// u64 packed advice bits, each node starting on a word boundary.
@@ -107,24 +94,17 @@ fn malformed(why: &'static str) -> StoreError {
     StoreError::Malformed(why)
 }
 
-/// Encodes a network (including its derived engine tables and, when
-/// eligible, its locality run space — both built now if not already) into a
-/// store writer keyed by `key`. Networks with a run space store the
-/// run-space table set plus the [`tag::PERM`] permutation; reload then
-/// presets the run space and rebuilds identity tables lazily only if an
-/// identity-bound engine (trace/audit) asks for them.
+/// Encodes a network (including its derived engine tables, built now if
+/// not already) into a store writer keyed by `key`.
 pub fn encode_network(key: &str, net: &Network) -> StoreWriter {
-    let space = net.run_space();
-    let tables = match space {
-        Some(s) => s.tables.clone(),
-        None => net.tables().clone(),
-    };
+    let tables = net.tables();
     let (goff, adjacency, edges) = net.graph().csr_parts();
     let (poff, port_to, port_from) = net.ports().raw_parts();
     debug_assert_eq!(goff, poff, "graph and port offsets must agree");
-    debug_assert!(
-        space.is_some() || goff == &tables.edge_offset[..],
-        "graph and identity table offsets must agree"
+    debug_assert_eq!(
+        goff,
+        &tables.edge_offset[..],
+        "graph and table offsets must agree"
     );
 
     let mut w = StoreWriter::new(kind::NETWORK, key);
@@ -154,17 +134,6 @@ pub fn encode_network(key: &str, net: &Network) -> StoreWriter {
         .collect();
     w.put_u32s(tag::PORT_FROM, &from_flat);
     w.put_u64s(tag::IDS, net.ids().as_slice());
-    match space {
-        Some(s) => {
-            w.put_u32s(tag::PERM, s.rel.to_orig_slice());
-            let toff: Vec<u64> = tables.edge_offset.iter().map(|&o| o as u64).collect();
-            w.put_u64s(tag::TBL_OFFSETS, &toff);
-        }
-        None => {
-            w.put_u32s(tag::PERM, &[]);
-            w.put_u64s(tag::TBL_OFFSETS, &[]);
-        }
-    }
     let hot_flat: Vec<u32> = tables
         .edge_hot
         .iter()
@@ -260,49 +229,10 @@ pub fn decode_network(f: &StoreFile) -> Result<Network, StoreError> {
         .map(|(&id, &p)| (id, Port::new(p as usize)))
         .collect();
 
-    let perm = f.u32s(tag::PERM)?;
-    let tbl_offsets = f.view_usizes(tag::TBL_OFFSETS)?;
-
     let net = Network::with_parts(graph, ports, ids, mode);
-    if perm.is_empty() {
-        if !tbl_offsets.is_empty() {
-            return Err(malformed("run-space offsets present without a permutation"));
-        }
-        net.preset_tables(NodeTables::from_raw_parts(
-            offsets, edge_hot, nb_ids, id_to_port,
-        ));
-    } else if crate::network::relabel_disabled_by_env() {
-        // The artifact was baked in run space but relabeled execution is
-        // disabled for this process: skip both presets so the identity
-        // tables rebuild lazily on first use (and the run-space cell, if
-        // asked, re-evaluates the env gate and stays empty).
-    } else {
-        if perm.len() != n {
-            return Err(malformed("permutation length does not match n"));
-        }
-        // `Relabeling::from_to_orig` panics on a non-permutation, and
-        // mmap-path payloads are not checksummed — validate first so a
-        // corrupt file fails closed instead.
-        let mut seen = vec![0u64; n.div_ceil(64)];
-        for &o in perm {
-            let o = o as usize;
-            if o >= n || seen[o / 64] >> (o % 64) & 1 == 1 {
-                return Err(malformed("stored relabeling is not a permutation"));
-            }
-            seen[o / 64] |= 1 << (o % 64);
-        }
-        if tbl_offsets.len() != n + 1
-            || *tbl_offsets.last().unwrap() != dir_edges
-            || tbl_offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(malformed("run-space offsets malformed"));
-        }
-        let rel = wakeup_graph::Relabeling::from_to_orig(perm.to_vec());
-        net.preset_run_space(
-            rel,
-            NodeTables::from_raw_parts(tbl_offsets, edge_hot, nb_ids, id_to_port),
-        );
-    }
+    net.preset_tables(NodeTables::from_raw_parts(
+        offsets, edge_hot, nb_ids, id_to_port,
+    ));
     Ok(net)
 }
 
@@ -474,66 +404,35 @@ mod tests {
     }
 
     #[test]
-    fn relabeled_network_round_trips_with_run_space_preset() {
-        let g = generators::erdos_renyi_connected(70, 0.1, 13).unwrap();
-        let net = Network::kt1(g, 7);
-        net.force_relabel();
-        assert!(
-            net.run_space().is_some(),
-            "fixture must have a non-trivial relabeling"
-        );
-        let path = tmp("net-relabeled");
-        write_network(&path, "rel", &net).unwrap();
-        let back = read_network(&path, "rel").unwrap();
-        assert_eq!(back, net);
-        // The run space comes straight from the file — same permutation,
-        // byte-identical run-space tables — not from an RCM recompute.
-        let a = net.run_space().unwrap();
-        let b = back.run_space().unwrap();
-        assert_eq!(a.rel, b.rel);
-        assert_eq!(*a.tables, *b.tables);
-        // Identity tables still lazily rebuild to the same bytes on both.
-        assert_eq!(**back.tables(), **net.tables());
-        // Re-baking the reloaded network reproduces the file image — the
-        // `--verify` cold-rebuild contract holds for relabeled bakes.
-        assert_eq!(
-            network_file_bytes("rel", &net),
-            network_file_bytes("rel", &back)
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn relabeled_bake_loads_identically_on_mmap_and_eager_paths() {
-        let g = generators::erdos_renyi_connected(70, 0.1, 13).unwrap();
-        let net = Network::kt1(g, 7);
-        net.force_relabel();
-        assert!(net.run_space().is_some());
-        let path = tmp("net-relabeled-eager");
-        write_network(&path, "rel", &net).unwrap();
-        let mapped = read_network(&path, "rel").unwrap();
-        // The eager path (`WAKEUP_STORE_NO_MMAP=1` semantics) re-derives
-        // every payload checksum and must produce the same network, run
-        // space included.
-        let f = StoreFile::open_with(&path, kind::NETWORK, "rel", wakeup_store::MapMode::Eager)
-            .unwrap();
-        assert!(!f.is_mapped());
-        f.verify_all().unwrap();
-        let eager = decode_network(&f).unwrap();
-        assert_eq!(mapped, eager);
-        assert_eq!(
-            *mapped.run_space().unwrap().tables,
-            *eager.run_space().unwrap().tables
-        );
-        assert_eq!(
-            mapped.run_space().unwrap().rel,
-            eager.run_space().unwrap().rel
-        );
-        assert_eq!(
-            network_file_bytes("rel", &mapped),
-            network_file_bytes("rel", &eager)
-        );
-        std::fs::remove_file(&path).ok();
+    fn bake_loads_identically_on_mmap_and_eager_paths() {
+        for (label, net) in nets() {
+            let path = tmp(&format!("net-eager-{label}"));
+            write_network(&path, label, &net).unwrap();
+            let mapped = read_network(&path, label).unwrap();
+            // The eager path (`WAKEUP_STORE_NO_MMAP=1` semantics) re-derives
+            // every payload checksum and must produce the same network,
+            // engine tables included.
+            let f = StoreFile::open_with(&path, kind::NETWORK, label, wakeup_store::MapMode::Eager)
+                .unwrap();
+            assert!(!f.is_mapped());
+            f.verify_all().unwrap();
+            let eager = decode_network(&f).unwrap();
+            assert_eq!(mapped, eager, "{label}");
+            assert_eq!(**mapped.tables(), **eager.tables(), "{label}");
+            // Re-baking either reload reproduces the file image — the
+            // `--verify` cold-rebuild contract.
+            assert_eq!(
+                network_file_bytes(label, &mapped),
+                network_file_bytes(label, &net),
+                "{label}"
+            );
+            assert_eq!(
+                network_file_bytes(label, &eager),
+                network_file_bytes(label, &net),
+                "{label}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

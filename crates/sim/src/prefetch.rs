@@ -1,11 +1,10 @@
 //! Software prefetch hints for the engines' delivery loops.
 //!
 //! The per-tick delivery phase walks a sorted list of touched receivers;
-//! each receiver's protocol state, pending list, and wake bit live in
-//! run-id-indexed arrays. Issuing a prefetch for receiver `i + 1`'s rows
-//! while receiver `i` is being handled (distance 1, i.e. one delivery
-//! batch ahead) hides most of the remaining DRAM latency once the RCM
-//! relabeling has made consecutive receivers adjacent in memory.
+//! each receiver's protocol state and pending list live in node-indexed
+//! arrays. Issuing a prefetch for receiver `i + 1`'s rows while receiver
+//! `i` is being handled (distance 1, i.e. one delivery batch ahead) lets
+//! the next row's cache miss overlap the current handler's work.
 
 /// Hints the CPU to pull the cache line containing `p` into all cache
 /// levels. A no-op on non-x86_64 targets. Always safe to call with any

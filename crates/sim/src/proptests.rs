@@ -230,42 +230,6 @@ proptest! {
         }
     }
 
-    /// The locality-relabeling tentpole, property-tested: over arbitrary
-    /// connected graphs, wake schedules, and (oblivious, forkable) delay
-    /// adversaries, a relabeled run and a forced identity-space run
-    /// produce identical metrics, outputs, and observability bytes.
-    #[test]
-    fn relabeled_and_identity_runs_agree_on_arbitrary_workloads(
-        seed in any::<u64>(),
-        n in 3usize..48,
-        wakes in 1usize..5,
-        gap_quarters in 0u64..10,
-    ) {
-        use crate::adversary::{AdversarialDelay, WakeSchedule};
-        use crate::{AsyncConfig, AsyncEngine, Network};
-        use wakeup_graph::{generators, NodeId};
-        let g = generators::erdos_renyi_connected(n, (6.0 / n as f64).min(1.0), seed)
-            .expect("valid size");
-        let relabeled = Network::kt0(g.clone(), seed);
-        relabeled.force_relabel();
-        let identity = Network::kt0(g, seed);
-        identity.disable_relabel();
-        let ids: Vec<NodeId> = (0..wakes.min(n)).map(NodeId::new).collect();
-        let schedule = WakeSchedule::staggered(&ids, gap_quarters as f64 * 0.25);
-        let run = |net: &Network| {
-            let mut delays = AdversarialDelay::new(seed ^ 0xD6E8_FEB8_6659_FD93);
-            AsyncEngine::<FloodProbe>::new(net, AsyncConfig::default())
-                .run_with(&schedule, &mut delays)
-        };
-        let (a, b) = (run(&relabeled), run(&identity));
-        prop_assert_eq!(&a.metrics, &b.metrics);
-        prop_assert_eq!(&a.outputs, &b.outputs);
-        prop_assert_eq!(a.all_awake, b.all_awake);
-        let (sa, sb) = (crate::obs::ObsSnapshot::of(&a), crate::obs::ObsSnapshot::of(&b));
-        prop_assert_eq!(sa.to_json(), sb.to_json());
-        prop_assert_eq!(sa.to_prometheus(), sb.to_prometheus());
-    }
-
     #[test]
     fn rng_forks_do_not_correlate(seed in any::<u64>()) {
         use wakeup_graph::rng::Xoshiro256;

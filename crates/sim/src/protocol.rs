@@ -31,13 +31,10 @@ pub struct NodeInit<'a> {
     pub shared_seed: u64,
 }
 
-/// Drives `f` over every node's [`NodeInit`], in dense *original*-index
-/// order — the one place both engines (and their `reset` paths) derive
-/// initial knowledge, so fresh construction and in-place re-initialization
-/// cannot drift apart. `rel` translates the table row lookup when `tables`
-/// is a run-space build (every per-node fact — ID, degree, advice, private
-/// seed — is keyed by the original index either way, so relabeled and
-/// identity engines initialize nodes identically).
+/// Drives `f` over every node's [`NodeInit`], in dense index order — the
+/// one place both engines (and their `reset` paths) derive initial
+/// knowledge, so fresh construction and in-place re-initialization cannot
+/// drift apart.
 ///
 /// # Panics
 ///
@@ -45,7 +42,6 @@ pub struct NodeInit<'a> {
 pub(crate) fn for_each_node_init(
     net: &Network,
     tables: &NodeTables,
-    rel: Option<&wakeup_graph::Relabeling>,
     seed: u64,
     shared_seed: u64,
     advice: Option<&[BitStr]>,
@@ -58,12 +54,11 @@ pub(crate) fn for_each_node_init(
     let master = Xoshiro256::seed_from(seed);
     for v in 0..net.n() {
         let node = NodeId::new(v);
-        let row = rel.map_or(v, |rel| rel.to_run(v));
         let init = NodeInit {
             id: net.ids().id(node),
             degree: net.graph().degree(node),
             n_hint: net.n(),
-            neighbor_ids: (net.mode() == KnowledgeMode::Kt1).then(|| tables.neighbor_ids(row)),
+            neighbor_ids: (net.mode() == KnowledgeMode::Kt1).then(|| tables.neighbor_ids(v)),
             advice: advice.map_or(&empty, |a| &a[v]),
             private_seed: {
                 let mut fork = master.fork(v as u64);

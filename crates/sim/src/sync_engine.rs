@@ -85,13 +85,6 @@ impl Default for SyncConfig {
 pub struct SyncEngine<'n, P: SyncProtocol> {
     net: crate::network::NetHandle<'n>,
     tables: Arc<NodeTables>,
-    /// `Some` iff this engine executes in the locality-ordered run space
-    /// (the network has a non-identity [`wakeup_graph::Relabeling`] and the
-    /// config records neither traces nor audit logs, whose streams are
-    /// defined in chronological identity order). The sync model has no
-    /// delay strategy, so unlike the async engine there is no per-run
-    /// fallback: `Some` here means every run relabels.
-    space: Option<Arc<crate::network::RunSpace>>,
     config: SyncConfig,
     protocols: Vec<P>,
     scratch: SyncScratch<P::Msg>,
@@ -112,10 +105,9 @@ struct SyncScratch<M> {
     newly_awake: Vec<(NodeId, WakeCause)>,
     wake_queued: Vec<bool>,
     entries_buf: Vec<(Port, PayloadRef)>,
-    /// The round's send queue: `(sender, port, payload, phase)` where phase
-    /// 0 = wake-handler send, 1 = step send (the packed-key bit relabeled
-    /// runs need to restore the identity delivery order).
-    outbox_all: Vec<(NodeId, Port, PayloadRef, u8)>,
+    /// The round's send queue: `(sender, port, payload)`, wake-handler
+    /// sends before step sends.
+    outbox_all: Vec<(NodeId, Port, PayloadRef)>,
     /// Per-shard state for sharded runs; empty until the first `shards > 1`
     /// run, rebuilt only when the shard count changes.
     shards: Vec<SyncShardScratch<M>>,
@@ -123,12 +115,7 @@ struct SyncScratch<M> {
 
 struct InFlight {
     to: NodeId,
-    /// Identity runs: the sender's node index. Relabeled runs: the packed
-    /// key `(phase << FROM_IDX_BITS) | orig_sender` — a stable sort of the
-    /// queue by `(to, from)` restores the identity-space delivery order
-    /// (wake-phase sends before step sends, original ids ascending within
-    /// each), and masking with [`crate::network::FROM_IDX_MASK`] recovers
-    /// the original sender index.
+    /// The sender's node index.
     from: u32,
     /// Receiver-side port (the paper's `port_to(to, from)`), resolved from
     /// the directed-edge index at send time so delivery does no lookups.
@@ -207,29 +194,12 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
     }
 
     fn with_handle(net: crate::network::NetHandle<'n>, config: SyncConfig) -> SyncEngine<'n, P> {
-        // Trace and audit streams are defined in chronological identity
-        // order, so recording runs stay in the original space.
-        #[allow(unused_mut)]
-        let mut identity_only = config.trace_capacity.is_some();
-        #[cfg(feature = "audit")]
-        {
-            identity_only = identity_only || config.audit_capacity.is_some();
-        }
-        let space = if identity_only {
-            None
-        } else {
-            net.run_space().cloned()
-        };
-        let tables = match &space {
-            Some(s) => Arc::clone(&s.tables),
-            None => Arc::clone(net.tables()),
-        };
+        let tables = Arc::clone(net.tables());
         let n = net.n();
         let mut protocols = Vec::with_capacity(n);
         crate::protocol::for_each_node_init(
             &net,
             &tables,
-            space.as_ref().map(|s| &*s.rel),
             config.seed,
             config.shared_seed,
             config.advice.as_deref().map(Vec::as_slice),
@@ -238,7 +208,6 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
         SyncEngine {
             net,
             tables,
-            space,
             config,
             protocols,
             scratch: SyncScratch {
@@ -264,7 +233,6 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
         crate::protocol::for_each_node_init(
             &self.net,
             &self.tables,
-            self.space.as_ref().map(|s| &*s.rel),
             seed,
             self.config.shared_seed,
             self.config.advice.as_deref().map(Vec::as_slice),
@@ -297,15 +265,6 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             return self.run_sharded(schedule);
         }
         let n = self.net.n();
-        let rel = self.space.as_deref().map(|s| &*s.rel);
-        let from_mask = if rel.is_some() {
-            crate::network::FROM_IDX_MASK
-        } else {
-            u32::MAX
-        };
-        if let Some(rel) = rel {
-            rel.permute_to_run(&mut self.protocols);
-        }
         let mut metrics = Metrics::new(n);
         let mut obs = crate::obs::Obs::with_windows(n, self.config.obs, self.config.obs_windows);
         let mut outputs: Vec<Option<u64>> = vec![None; n];
@@ -316,14 +275,11 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
         } else {
             DenseBits::default()
         };
-        // Adversary wakes grouped by round (run ids when relabeled).
+        // Adversary wakes grouped by round.
         let mut pending_wakes: Vec<(u64, NodeId)> = schedule
             .entries()
             .iter()
-            .map(|&(tick, v)| {
-                let v = rel.map_or(v, |rel| NodeId::new(rel.to_run(v.index())));
-                (tick / TICKS_PER_UNIT, v)
-            })
+            .map(|&(tick, v)| (tick / TICKS_PER_UNIT, v))
             .collect();
         pending_wakes.sort_unstable();
         let mut wake_cursor = 0usize;
@@ -394,18 +350,12 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             }
             obs.events += in_flight.len() as u64;
             obs.tl_delivered(tick, in_flight.len() as u64);
-            if rel.is_some() {
-                // Stable sort by (receiver, packed key) restores each
-                // receiver's identity-space delivery order (see
-                // `InFlight::from`).
-                in_flight.sort_by_key(|m| (m.to, m.from));
-            }
             for m in in_flight.drain(..) {
                 metrics.received_by[m.to.index()] += 1;
                 if let Some(tr) = trace.as_mut() {
                     tr.record(TraceEvent::Deliver {
                         tick,
-                        from: NodeId::new((m.from & from_mask) as usize),
+                        from: NodeId::new(m.from as usize),
                         to: m.to,
                     });
                 }
@@ -415,7 +365,7 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 if let Some(log) = audit_log.as_mut() {
                     log.record(crate::audit::AuditEvent::Deliver {
                         tick,
-                        from: m.from & from_mask,
+                        from: m.from,
                         to: m.to.index() as u32,
                         slot: m.msg.slot(),
                         gen: m.msg.generation(),
@@ -425,11 +375,9 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                     ports_touched.set(self.tables.slot(m.to, m.rport));
                 }
                 let sender_id = match self.net.mode() {
-                    crate::knowledge::KnowledgeMode::Kt1 => Some(
-                        self.net
-                            .ids()
-                            .id(NodeId::new((m.from & from_mask) as usize)),
-                    ),
+                    crate::knowledge::KnowledgeMode::Kt1 => {
+                        Some(self.net.ids().id(NodeId::new(m.from as usize)))
+                    }
                     crate::knowledge::KnowledgeMode::Kt0 => None,
                 };
                 if inboxes[m.to.index()].is_empty() {
@@ -439,7 +387,7 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                     // Provisional causal predecessor: the round's first
                     // delivery to a sleeping node (erased below if the
                     // adversary wakes it this round instead).
-                    obs.note_wake_pred(m.to.index(), m.from & from_mask);
+                    obs.note_wake_pred(m.to.index(), m.from);
                 }
                 inboxes[m.to.index()].push((
                     Incoming {
@@ -475,11 +423,10 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                     // forest, not a successor.
                     obs.clear_wake_pred(v.index());
                 }
-                let ov = rel.map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
                 if let Some(tr) = trace.as_mut() {
                     tr.record(TraceEvent::Wake {
                         tick,
-                        node: ov,
+                        node: v,
                         cause,
                     });
                 }
@@ -487,14 +434,14 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 if let Some(log) = audit_log.as_mut() {
                     log.record(crate::audit::AuditEvent::Wake {
                         tick,
-                        node: ov.index() as u32,
+                        node: v.index() as u32,
                         cause,
                     });
                     if let Some(advice) = self.config.advice.as_deref() {
                         log.record(crate::audit::AuditEvent::AdviceRead {
                             tick,
-                            node: ov.index() as u32,
-                            bits: advice[ov.index()].len() as u32,
+                            node: v.index() as u32,
+                            bits: advice[v.index()].len() as u32,
                         });
                     }
                 }
@@ -506,12 +453,9 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 if awake_count == n {
                     metrics.all_awake_tick = Some(tick);
                 }
-                if rel.is_some() {
-                    obs.phases.set_handler(tick, 0, ov.index() as u32);
-                }
                 let mut ctx = Context::new(
-                    ov,
-                    self.net.graph().degree(ov),
+                    v,
+                    self.net.graph().degree(v),
                     self.net.mode(),
                     self.tables.id_to_port(v.index()),
                     &mut *entries_buf,
@@ -525,7 +469,7 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 );
                 self.protocols[v.index()].on_wake(&mut ctx, cause);
                 for (port, r) in entries_buf.drain(..) {
-                    outbox_all.push((v, port, r, 0));
+                    outbox_all.push((v, port, r));
                 }
             }
             for &(v, _) in newly_awake.iter() {
@@ -545,17 +489,13 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 crate::prefetch::prefetch_index(&self.protocols, v + 1);
                 crate::prefetch::prefetch_index(inboxes, v + 1);
                 let node = NodeId::new(v);
-                let ov = rel.map_or(node, |rel| NodeId::new(rel.to_orig(v)));
                 if !inboxes[v].is_empty() {
                     obs.on_batch(inboxes[v].len());
                 }
                 let mut inbox = Inbox::new(&mut inboxes[v]);
-                if rel.is_some() {
-                    obs.phases.set_handler(tick, 1, ov.index() as u32);
-                }
                 let mut ctx = Context::new(
-                    ov,
-                    self.net.graph().degree(ov),
+                    node,
+                    self.net.graph().degree(node),
                     self.net.mode(),
                     self.tables.id_to_port(v),
                     &mut *entries_buf,
@@ -570,24 +510,22 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 self.protocols[v].on_messages_batch(&mut ctx, &mut inbox);
                 drop(inbox);
                 for (port, r) in entries_buf.drain(..) {
-                    outbox_all.push((node, port, r, 1));
+                    outbox_all.push((node, port, r));
                 }
             }
             // Queue round-r sends for round r+1 delivery (CONGEST was
             // enforced at enqueue time by the context; here we only account
             // and route).
-            for (from, port, r, phase) in outbox_all.drain(..) {
+            for (from, port, r) in outbox_all.drain(..) {
                 let slot = self.tables.slot(from, port);
                 let hot = self.tables.edge_hot[slot];
                 let to = NodeId::new(hot.to as usize);
-                let of = rel.map_or(from, |rel| NodeId::new(rel.to_orig(from.index())));
-                let ot = rel.map_or(to, |rel| NodeId::new(rel.to_orig(to.index())));
                 let bits = arena.bits(r);
                 if let Some(tr) = trace.as_mut() {
                     tr.record(TraceEvent::Send {
                         tick,
-                        from: of,
-                        to: ot,
+                        from,
+                        to,
                         bits,
                     });
                 }
@@ -595,8 +533,8 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 if let Some(log) = audit_log.as_mut() {
                     log.record(crate::audit::AuditEvent::Send {
                         tick,
-                        from: of.index() as u32,
-                        to: ot.index() as u32,
+                        from: from.index() as u32,
+                        to: to.index() as u32,
                         bits: bits as u32,
                         slot: r.slot(),
                         gen: r.generation(),
@@ -614,11 +552,7 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 let rport = Port::new(hot.rport as usize);
                 in_flight.push(InFlight {
                     to,
-                    from: if rel.is_some() {
-                        (u32::from(phase) << crate::network::FROM_IDX_BITS) | of.index() as u32
-                    } else {
-                        from.index() as u32
-                    },
+                    from: from.index() as u32,
                     rport,
                     msg: r,
                 });
@@ -640,9 +574,8 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
         obs.runtime.shards = 1;
         obs.runtime.arena_high_water = arena.high_water() as u64;
         obs.runtime.prefetch_batches = obs.batch_sizes.count();
-        obs.runtime.relabel_applied = rel.is_some();
         crate::obs::add_global_events(obs.events);
-        let mut report = RunReport {
+        RunReport {
             all_awake: awake_count == n,
             rounds: round,
             outputs,
@@ -652,12 +585,7 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             obs,
             #[cfg(feature = "audit")]
             audit_log,
-        };
-        if let Some(rel) = rel {
-            crate::network::unpermute_report(rel, &mut report);
-            rel.permute_to_orig(&mut self.protocols);
         }
-        report
     }
 
     /// The per-node protocol states (final states after a run).
@@ -695,30 +623,19 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
         let net = &*self.net;
         let tables = &*self.tables;
         let config = &self.config;
-        // `self.tables` is already the run-space table set when the network
-        // has a run space, and the shard plan's contiguous node ranges are
-        // therefore contiguous in locality order.
-        let rel = self.space.as_deref().map(|s| &*s.rel);
         let n = net.n();
         let plan = ShardPlan::new(n, config.shards);
         let k = plan.k;
         if self.scratch.shards.len() != k {
             self.scratch.shards = (0..k).map(|_| SyncShardScratch::new(k)).collect();
         }
-        // Adversary wakes grouped by round, canonically (round, id)-sorted
-        // (run ids when relabeled).
+        // Adversary wakes grouped by round, canonically (round, id)-sorted.
         let mut wakes_all: Vec<(u64, NodeId)> = schedule
             .entries()
             .iter()
-            .map(|&(tick, v)| {
-                let v = rel.map_or(v, |rel| NodeId::new(rel.to_run(v.index())));
-                (tick / TICKS_PER_UNIT, v)
-            })
+            .map(|&(tick, v)| (tick / TICKS_PER_UNIT, v))
             .collect();
         wakes_all.sort_unstable();
-        if let Some(rel) = rel {
-            rel.permute_to_run(&mut self.protocols);
-        }
         let mut metrics = Metrics::new(n);
         let mut outputs: Vec<Option<u64>> = vec![None; n];
         let mut awake = vec![false; n];
@@ -790,12 +707,6 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 drain_buf,
                 wakes,
                 cursor: 0,
-                rel,
-                from_mask: if rel.is_some() {
-                    crate::network::FROM_IDX_MASK
-                } else {
-                    u32::MAX
-                },
                 staged: 0,
                 events: 0,
             });
@@ -874,9 +785,8 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
         obs.events = events;
         obs.runtime.stall_rounds = stall_rounds;
         obs.runtime.prefetch_batches = obs.batch_sizes.count();
-        obs.runtime.relabel_applied = rel.is_some();
         crate::obs::add_global_events(events);
-        let mut report = RunReport {
+        RunReport {
             all_awake,
             rounds: round,
             outputs,
@@ -886,12 +796,7 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             obs,
             #[cfg(feature = "audit")]
             audit_log: None,
-        };
-        if let Some(rel) = rel {
-            crate::network::unpermute_report(rel, &mut report);
-            rel.permute_to_orig(&mut self.protocols);
         }
-        report
     }
 }
 
@@ -922,14 +827,9 @@ struct SyncShard<'e, P: SyncProtocol> {
     entries_buf: &'e mut Vec<(Port, PayloadRef)>,
     stage: &'e mut [Vec<SyncCross<P::Msg>>],
     drain_buf: &'e mut Vec<SyncCross<P::Msg>>,
-    /// This shard's schedule wakes, `(round, id)`-sorted (run ids when
-    /// relabeled — the shard ranges partition run-id space).
+    /// This shard's schedule wakes, `(round, id)`-sorted.
     wakes: Vec<(u64, NodeId)>,
     cursor: usize,
-    /// `Some` iff this run executes in the locality-ordered run space.
-    rel: Option<&'e wakeup_graph::Relabeling>,
-    /// Sender-index extraction mask (see [`InFlight::from`]).
-    from_mask: u32,
     /// Messages staged since the last publish.
     staged: u64,
     /// Locally processed events (deliveries + wakes), merged at the end.
@@ -964,12 +864,6 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
         self.obs.timeline.finish();
         self.obs.events = self.events;
         self.obs.arena_high_water = self.arena.high_water() as u64;
-        if self.rel.is_some() {
-            // Relabeled runs skip `stamp_new_spans`; install the tracked
-            // canonical (tick, phase, orig actor) minima instead so the
-            // cross-shard span merge reproduces the identity label order.
-            self.obs.adopt_tracked_keys();
-        }
     }
 
     fn publish_slot(&mut self, slots: &[std::sync::Mutex<SyncPublished>]) {
@@ -1029,27 +923,20 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
         }
         self.events += inflight.len() as u64;
         self.obs.tl_delivered(tick, inflight.len() as u64);
-        if self.rel.is_some() {
-            // Stable sort by (receiver, packed key) restores each receiver's
-            // identity-space delivery order (see `InFlight::from`).
-            inflight.sort_by_key(|m| (m.to, m.from));
-        }
         for m in inflight.drain(..) {
             let li = m.to as usize - self.lo;
             self.received_by[li] += 1;
             let sender_id = match self.net.mode() {
-                crate::knowledge::KnowledgeMode::Kt1 => Some(
-                    self.net
-                        .ids()
-                        .id(NodeId::new((m.from & self.from_mask) as usize)),
-                ),
+                crate::knowledge::KnowledgeMode::Kt1 => {
+                    Some(self.net.ids().id(NodeId::new(m.from as usize)))
+                }
                 crate::knowledge::KnowledgeMode::Kt0 => None,
             };
             if self.inboxes[li].is_empty() {
                 self.touched.push(li);
             }
             if !self.awake[li] {
-                self.obs.note_wake_pred(li, m.from & self.from_mask);
+                self.obs.note_wake_pred(li, m.from);
             }
             let msg = match m.payload {
                 crate::shard::CrossPayload::Local(r) => self.arena.take(r),
@@ -1096,16 +983,10 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             self.sm.awake_count += 1;
             self.wake_tick[li] = Some(tick);
             self.sm.first_wake_tick = Some(self.sm.first_wake_tick.map_or(tick, |t| t.min(tick)));
-            let ov = self
-                .rel
-                .map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
-            if self.rel.is_some() {
-                self.obs.phases.set_handler(tick, 0, ov.index() as u32);
-            }
             let mut entries = std::mem::take(&mut *self.entries_buf);
             let mut ctx = Context::new(
-                ov,
-                self.net.graph().degree(ov),
+                v,
+                self.net.graph().degree(v),
                 self.net.mode(),
                 self.tables.id_to_port(v.index()),
                 &mut entries,
@@ -1118,9 +999,7 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
                 tick,
             );
             self.protocols[li].on_wake(&mut ctx, cause);
-            if self.rel.is_none() {
-                self.obs.stamp_new_spans(tick, 0, v.index() as u32);
-            }
+            self.obs.stamp_new_spans(tick, 0, v.index() as u32);
             self.route_outbox(&mut entries, v, 0, tick);
             *self.entries_buf = entries;
         }
@@ -1138,22 +1017,16 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             crate::prefetch::prefetch_index(self.protocols, li + 1);
             crate::prefetch::prefetch_index(self.inboxes, li + 1);
             let v = NodeId::new(li + self.lo);
-            let ov = self
-                .rel
-                .map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
             if !self.inboxes[li].is_empty() {
                 self.obs.on_batch(self.inboxes[li].len());
             }
             let mut inbox = Inbox::new(&mut self.inboxes[li]);
-            if self.rel.is_some() {
-                self.obs.phases.set_handler(tick, 1, ov.index() as u32);
-            }
             let mut entries = std::mem::take(&mut *self.entries_buf);
             let mut ctx = Context::new(
-                ov,
-                self.net.graph().degree(ov),
+                v,
+                self.net.graph().degree(v),
                 self.net.mode(),
-                self.tables.id_to_port(li + self.lo),
+                self.tables.id_to_port(v.index()),
                 &mut entries,
                 self.arena,
                 self.config.channel,
@@ -1165,9 +1038,7 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             );
             self.protocols[li].on_messages_batch(&mut ctx, &mut inbox);
             drop(inbox);
-            if self.rel.is_none() {
-                self.obs.stamp_new_spans(tick, 1, v.index() as u32);
-            }
+            self.obs.stamp_new_spans(tick, 1, v.index() as u32);
             self.route_outbox(&mut entries, v, 1, tick);
             *self.entries_buf = entries;
         }
@@ -1183,9 +1054,6 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
         phase: usize,
         tick: u64,
     ) {
-        let of = self
-            .rel
-            .map_or(from, |rel| NodeId::new(rel.to_orig(from.index())));
         for (port, r) in entries.drain(..) {
             let slot = self.tables.slot(from, port);
             let hot = self.tables.edge_hot[slot];
@@ -1206,11 +1074,7 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             self.staged += 1;
             self.stage[dst * crate::shard::PHASES + phase].push(SyncCross {
                 to: hot.to,
-                from: if self.rel.is_some() {
-                    ((phase as u32) << crate::network::FROM_IDX_BITS) | of.index() as u32
-                } else {
-                    from.index() as u32
-                },
+                from: from.index() as u32,
                 rport: hot.rport,
                 payload,
             });
@@ -1463,7 +1327,7 @@ mod tests {
     }
 
     /// Phase-labeling flood over both sync handler surfaces — the sync
-    /// sibling of the async engine's `PhasedFlood` differential fixture.
+    /// sibling of the async engine's `PhasedFlood` fixture.
     struct PhasedSyncFlood {
         relayed: bool,
         seen: u64,
@@ -1492,31 +1356,24 @@ mod tests {
         }
     }
 
-    /// The tentpole contract on the sync engine: relabeled runs reproduce
-    /// identity-space runs byte for byte, serial and sharded.
+    /// A sharded KT1 run of a phase-labelling workload is byte-identical to
+    /// the serial run, including both observability serializations.
     #[test]
-    fn sync_relabeled_run_is_byte_identical_to_identity_run() {
+    fn sync_phased_flood_is_byte_identical_across_shard_counts() {
         let g = generators::erdos_renyi_connected(41, 0.12, 13).unwrap();
-        let relabeled = Network::kt1(g.clone(), 5);
-        relabeled.force_relabel();
-        assert!(
-            relabeled.run_space().is_some(),
-            "fixture must actually relabel"
-        );
-        let identity = Network::kt1(g, 5);
-        identity.disable_relabel();
+        let net = Network::kt1(g, 5);
         let all: Vec<NodeId> = (0..41).map(NodeId::new).collect();
         let schedule = WakeSchedule::staggered(&all, 1.7);
-        let run = |net: &Network, shards: usize| {
+        let run = |shards: usize| {
             let config = SyncConfig {
                 shards,
                 ..SyncConfig::default()
             };
-            SyncEngine::<PhasedSyncFlood>::new(net, config).run(&schedule)
+            SyncEngine::<PhasedSyncFlood>::new(&net, config).run(&schedule)
         };
-        for shards in [1, 3] {
-            let a = run(&relabeled, shards);
-            let b = run(&identity, shards);
+        let a = run(1);
+        for shards in [2, 3] {
+            let b = run(shards);
             assert_eq!(a.metrics, b.metrics, "shards={shards}");
             assert_eq!(a.outputs, b.outputs, "shards={shards}");
             assert_eq!(a.rounds, b.rounds, "shards={shards}");

@@ -89,10 +89,10 @@ pub const MAGIC: [u8; 8] = *b"WAKEBAKE";
 /// reverse port table) so they can be served as zero-copy pair-struct
 /// views instead of being zipped from split sections on every reload.
 /// Version 3 interleaved the engine tables' hot `(to, rport)` pair the
-/// same way and added the locality-relabeling sections (run→orig
-/// permutation plus run-space prefix sums), storing relabeled networks'
-/// tables in run space.
-pub const FORMAT_VERSION: u32 = 3;
+/// same way and added a node-permutation section pair for networks whose
+/// tables were stored in a relabeled order. Version 4 drops those sections:
+/// every network's tables are stored in node-index order.
+pub const FORMAT_VERSION: u32 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 64;
 /// Size of one section-table entry in bytes.
