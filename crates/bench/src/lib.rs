@@ -25,7 +25,7 @@ use wakeup_core::flooding::FloodAsync;
 use wakeup_core::harness;
 use wakeup_graph::{generators, Graph, NodeId};
 use wakeup_sim::adversary::WakeSchedule;
-use wakeup_sim::{KnowledgeMode, ObsSnapshot, TICKS_PER_UNIT};
+use wakeup_sim::{threads_from_env, KnowledgeMode, ObsSnapshot, TICKS_PER_UNIT};
 
 /// One measured point of a Table 1 row.
 #[derive(Debug, Clone)]
@@ -310,25 +310,12 @@ pub fn spec_artifact_keys(
     Ok((net, scheme.map(|scheme| AdviceKey { net, scheme })))
 }
 
-/// Number of worker threads the sweep harness uses: the `WAKEUP_THREADS`
-/// environment variable if set (`WAKEUP_THREADS=1` recovers the fully
-/// sequential path), otherwise the machine's available parallelism.
-pub fn sweep_threads() -> usize {
-    match std::env::var("WAKEUP_THREADS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(t) if t >= 1 => t,
-            _ => 1,
-        },
-        Err(_) => std::thread::available_parallelism().map_or(1, |p| p.get()),
-    }
-}
-
 /// Runs `job` over every item on a pool of scoped `std::thread` workers and
 /// returns the results **in input order**, independent of thread count and
 /// scheduling.
 ///
-/// The thread count comes from [`sweep_threads`]. Work is handed out through
-/// a shared atomic cursor so workers load-balance across jobs of uneven
+/// The thread count comes from [`threads_from_env`]. Work is handed out
+/// through a shared atomic cursor so workers load-balance across jobs of uneven
 /// cost; finished results are reassembled by input index, which makes the
 /// returned vector — and therefore every table printed from it —
 /// byte-identical to a sequential run. Each job is itself a full,
@@ -340,7 +327,7 @@ where
     I: Sync,
     T: Send,
 {
-    par_sweep_with(sweep_threads(), items, job)
+    par_sweep_with(threads_from_env(), items, job)
 }
 
 /// Minimum spacing between sweep progress lines, in milliseconds. Trials
@@ -578,15 +565,15 @@ mod tests {
         // restore the prior state.
         let prior = std::env::var("WAKEUP_THREADS").ok();
         std::env::set_var("WAKEUP_THREADS", "3");
-        assert_eq!(sweep_threads(), 3);
+        assert_eq!(threads_from_env(), 3);
         std::env::set_var("WAKEUP_THREADS", "not-a-number");
-        assert_eq!(sweep_threads(), 1);
+        assert_eq!(threads_from_env(), 1);
         std::env::set_var("WAKEUP_THREADS", "0");
-        assert_eq!(sweep_threads(), 1);
+        assert_eq!(threads_from_env(), 1);
         match prior {
             Some(v) => std::env::set_var("WAKEUP_THREADS", v),
             None => std::env::remove_var("WAKEUP_THREADS"),
         }
-        assert!(sweep_threads() >= 1);
+        assert!(threads_from_env() >= 1);
     }
 }

@@ -19,6 +19,7 @@
 use std::collections::BTreeMap;
 
 use wakeup_scenario::json::{self, Value};
+use wakeup_sim::viz;
 
 use crate::{err, CliError};
 
@@ -177,23 +178,15 @@ fn scalar_text(v: &Value) -> String {
 
 // ---------------------------------------------------------------- inspect
 
-const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-
-/// Log-scaled sparkline over one value per timeline window.
+/// Log-scaled sparkline over one value per timeline window (log scale so
+/// the flood peak doesn't flatten the tail; zero renders as the lowest
+/// block).
 fn sparkline(values: &[u64]) -> String {
     let max = values.iter().copied().max().unwrap_or(0);
+    let hi = (max as f64).ln().max(1e-9);
     values
         .iter()
-        .map(|&v| {
-            if v == 0 {
-                SPARK[0]
-            } else {
-                // Log scale so the flood peak doesn't flatten the tail.
-                let hi = (max as f64).ln().max(1e-9);
-                let idx = ((v as f64).ln() / hi * 7.0).round() as usize;
-                SPARK[idx.min(7)]
-            }
-        })
+        .map(|&v| viz::block(if v == 0 { 0.0 } else { (v as f64).ln() / hi }))
         .collect()
 }
 
@@ -584,7 +577,7 @@ mod tests {
                 .lines()
                 .find(|l| l.trim_start().starts_with(series))
                 .unwrap();
-            assert_eq!(line.chars().filter(|c| SPARK.contains(c)).count(), 2);
+            assert_eq!(line.chars().filter(|c| viz::BLOCKS.contains(c)).count(), 2);
         }
     }
 
@@ -594,7 +587,7 @@ mod tests {
         let s = sparkline(&[1, 10, 100, 1000]);
         let cells: Vec<char> = s.chars().collect();
         assert_eq!(cells.len(), 4);
-        assert_eq!(*cells.last().unwrap(), SPARK[7]);
+        assert_eq!(*cells.last().unwrap(), viz::BLOCKS[7]);
         assert!(cells.windows(2).all(|w| w[0] <= w[1]));
     }
 }

@@ -46,7 +46,6 @@ use crate::message::ChannelModel;
 use crate::metrics::{Metrics, RunReport, TICKS_PER_UNIT};
 use crate::network::{Network, NodeTables};
 use crate::protocol::{AsyncProtocol, Context, Inbox, Incoming, WakeCause};
-use crate::trace::{Trace, TraceEvent};
 
 /// Configuration of an [`AsyncEngine`] run.
 #[derive(Debug, Clone)]
@@ -76,19 +75,15 @@ pub struct AsyncConfig {
     pub obs_windows: crate::obs::WindowCfg,
     /// Count CONGEST violations in metrics instead of panicking.
     pub record_congest_violations: bool,
-    /// Record an execution trace with the given event capacity.
-    pub trace_capacity: Option<usize>,
     /// Record a model-conformance [`crate::audit::AuditLog`] with the given
-    /// event capacity (`None` = off). Independent of `trace_capacity`: the
-    /// audit log additionally carries logical timestamps, payload-arena
-    /// generations, and advice reads.
+    /// event capacity (`None` = off).
     #[cfg(feature = "audit")]
     pub audit_capacity: Option<usize>,
     /// Number of intra-run worker shards (default 1 = serial). With `K > 1`
     /// the nodes are partitioned into `K` contiguous ranges advanced in
     /// lockstep tick windows by `K` threads; output is byte-identical to
-    /// the serial run at any shard count. Runs that record traces or audit
-    /// logs, track ports, or use a delay strategy without a deterministic
+    /// the serial run at any shard count. Runs that record audit logs, track
+    /// ports, or use a delay strategy without a deterministic
     /// [`DelayStrategy::fork`] fall back to the serial path silently (the
     /// output is the same either way).
     pub shards: usize,
@@ -106,7 +101,6 @@ impl Default for AsyncConfig {
             obs: crate::obs::ObsLevel::Full,
             obs_windows: crate::obs::WindowCfg::Log2,
             record_congest_violations: false,
-            trace_capacity: None,
             #[cfg(feature = "audit")]
             audit_capacity: None,
             shards: 1,
@@ -468,7 +462,6 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             } else {
                 DenseBits::default()
             },
-            trace: config.trace_capacity.map(Trace::with_capacity),
             #[cfg(feature = "audit")]
             audit: config
                 .audit_capacity
@@ -581,7 +574,6 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             outputs: st.outputs,
             truncated,
             metrics: st.metrics,
-            trace: st.trace,
             obs: st.obs,
             #[cfg(feature = "audit")]
             audit_log: st.audit,
@@ -597,7 +589,7 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
     }
 
     /// Decides whether this run can take the sharded path, and if so forks
-    /// the delay strategy once per shard. Trace/audit recording, port
+    /// the delay strategy once per shard. Audit recording, port
     /// tracking, and unforkable (history-dependent) delay strategies fall
     /// back to the serial path — which produces identical output, so the
     /// fallback is safe to keep silent.
@@ -605,10 +597,7 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         &self,
         delays: &mut dyn DelayStrategy,
     ) -> Option<Vec<Box<dyn DelayStrategy + Send>>> {
-        if self.config.shards <= 1
-            || self.config.trace_capacity.is_some()
-            || self.config.track_ports
-        {
+        if self.config.shards <= 1 || self.config.track_ports {
             return None;
         }
         #[cfg(feature = "audit")]
@@ -810,7 +799,6 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             outputs,
             truncated,
             metrics,
-            trace: None,
             obs,
             #[cfg(feature = "audit")]
             audit_log: None,
@@ -847,7 +835,6 @@ struct RunState<'e, P: AsyncProtocol> {
     /// Directed-edge slots over which a message was sent or received; empty
     /// unless `track_ports`.
     ports_touched: DenseBits,
-    trace: Option<Trace>,
     /// Model-conformance event recorder (`audit` feature, off by default).
     #[cfg(feature = "audit")]
     audit: Option<crate::audit::AuditLog>,
@@ -865,13 +852,6 @@ impl<P: AsyncProtocol> RunState<'_, P> {
         tick: u64,
         delays: &mut dyn DelayStrategy,
     ) {
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent::Wake {
-                tick,
-                node: v,
-                cause,
-            });
-        }
         #[cfg(feature = "audit")]
         if let Some(log) = self.audit.as_mut() {
             log.record(crate::audit::AuditEvent::Wake {
@@ -920,8 +900,8 @@ impl<P: AsyncProtocol> RunState<'_, P> {
     }
 
     /// Delivers a maximal run of same-tick, same-receiver entries: metrics
-    /// and traces per entry, wake-on-message once, one batch handler call,
-    /// one dispatch. Equivalent to delivering the entries one by one — the
+    /// and audit events per entry, wake-on-message once, one batch handler
+    /// call, one dispatch. Equivalent to delivering the entries one by one — the
     /// handler's sends land in strictly later ticks either way, so nothing
     /// this batch does can affect the rest of the current bucket.
     fn deliver_batch(
@@ -934,15 +914,6 @@ impl<P: AsyncProtocol> RunState<'_, P> {
         self.metrics.received_by[to.index()] += entries.len() as u64;
         self.metrics.last_receipt_tick =
             Some(self.metrics.last_receipt_tick.map_or(tick, |t| t.max(tick)));
-        if let Some(tr) = self.trace.as_mut() {
-            for e in entries {
-                tr.record(TraceEvent::Deliver {
-                    tick,
-                    from: NodeId::new(e.from as usize),
-                    to,
-                });
-            }
-        }
         // Deliveries are recorded before the wake they may cause (below), so
         // the wake-causality invariant can stream the log in order.
         #[cfg(feature = "audit")]
@@ -1028,14 +999,6 @@ impl<P: AsyncProtocol> RunState<'_, P> {
             let hot = self.tables.edge_hot[slot];
             let to = NodeId::new(hot.to as usize);
             let bits = self.arena.bits(r);
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record(TraceEvent::Send {
-                    tick,
-                    from,
-                    to,
-                    bits,
-                });
-            }
             #[cfg(feature = "audit")]
             if let Some(log) = self.audit.as_mut() {
                 log.record(crate::audit::AuditEvent::Send {

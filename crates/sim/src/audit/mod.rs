@@ -9,10 +9,10 @@
 //!
 //! * **[`AuditLog`]** — a structured event recorder both engines feed when
 //!   [`crate::AsyncConfig::audit_capacity`] /
-//!   [`crate::SyncConfig::audit_capacity`] is set. Unlike the lightweight
-//!   [`crate::Trace`], audit events carry logical timestamps (the global
-//!   event sequence), payload-arena slot **generations**, and advice-read
-//!   accounting — enough to re-derive every model guarantee post hoc.
+//!   [`crate::SyncConfig::audit_capacity`] is set. Audit events carry
+//!   logical timestamps (the global event sequence), payload-arena slot
+//!   **generations**, and advice-read accounting — enough to re-derive
+//!   every model guarantee post hoc.
 //! * **[`Invariant`]** — a pluggable checker interface; the standard set
 //!   ([`Auditor::standard`]) validates per-edge FIFO order, the `(0, τ]`
 //!   delay bound, CONGEST budgets as charged at enqueue, monotone clocks,
@@ -145,8 +145,8 @@ impl AuditEvent {
 /// A bounded, ordered audit event log recorded by an engine run.
 ///
 /// The capacity cap drops the *newest* events and sets
-/// [`AuditLog::truncated`], mirroring [`crate::Trace`]; end-of-run
-/// invariants (conservation, payload leaks) are skipped for truncated logs.
+/// [`AuditLog::truncated`]; end-of-run invariants (conservation, payload
+/// leaks) are skipped for truncated logs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditLog {
     events: Vec<AuditEvent>,

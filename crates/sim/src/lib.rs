@@ -71,7 +71,6 @@ mod async_engine;
 pub mod audit;
 pub mod bits;
 pub mod differential;
-pub mod invariants;
 pub mod knowledge;
 mod lockstep;
 mod message;
@@ -84,7 +83,6 @@ mod proptests;
 mod protocol;
 mod shard;
 mod sync_engine;
-pub mod trace;
 pub mod viz;
 
 pub use async_engine::{AsyncConfig, AsyncEngine};
@@ -102,6 +100,5 @@ pub use obs::{
 pub use protocol::{
     AsyncProtocol, Context, Inbox, Incoming, NodeInit, ScopedBuf, SyncProtocol, WakeCause,
 };
-pub use shard::shards_from_env;
+pub use shard::{shards_from_env, threads_from_env};
 pub use sync_engine::{SyncConfig, SyncEngine};
-pub use trace::{Trace, TraceEvent};

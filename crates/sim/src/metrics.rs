@@ -108,8 +108,6 @@ pub struct RunReport {
     /// True if the engine stopped because it hit its safety event/round cap
     /// rather than quiescing.
     pub truncated: bool,
-    /// Execution trace, when tracing was enabled in the engine config.
-    pub trace: Option<crate::trace::Trace>,
     /// Always-on observability data: histograms, phase spans, and the causal
     /// wake-up forest (see [`crate::obs`]).
     pub obs: crate::obs::Obs,

@@ -242,25 +242,12 @@ unsafe impl SectionElem for EdgeHot {
 /// threads costs more than the fill saves.
 const PARALLEL_BUILD_MIN_N: usize = 50_000;
 
-/// Worker threads for large-network table builds: `WAKEUP_THREADS` if set
-/// (mirroring the sweep harness; invalid or zero values fall back to 1),
-/// otherwise the machine's available parallelism.
-fn build_threads() -> usize {
-    match std::env::var("WAKEUP_THREADS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(t) if t >= 1 => t,
-            _ => 1,
-        },
-        Err(_) => std::thread::available_parallelism().map_or(1, |p| p.get()),
-    }
-}
-
 impl NodeTables {
     pub(crate) fn build(net: &Network) -> NodeTables {
         let threads = if net.n() < PARALLEL_BUILD_MIN_N {
             1
         } else {
-            build_threads()
+            crate::shard::threads_from_env()
         };
         Self::build_with_threads(net, threads)
     }

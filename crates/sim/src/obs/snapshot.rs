@@ -587,7 +587,6 @@ mod tests {
             outputs: vec![None, None],
             truncated: false,
             metrics,
-            trace: None,
             obs,
             #[cfg(feature = "audit")]
             audit_log: None,

@@ -55,6 +55,21 @@ pub fn shards_from_env() -> usize {
     resolve_shards(requested, cores, force, true)
 }
 
+/// The worker-thread count requested through the `WAKEUP_THREADS`
+/// environment variable (`WAKEUP_THREADS=1` recovers the fully sequential
+/// path; invalid or zero values fall back to 1), otherwise the machine's
+/// available parallelism. Sizes the sweep harness's worker pool and the
+/// parallel table build of large networks.
+pub fn threads_from_env() -> usize {
+    match std::env::var("WAKEUP_THREADS") {
+        Ok(raw) => match raw.trim().parse::<usize>() {
+            Ok(t) if t >= 1 => t,
+            _ => 1,
+        },
+        Err(_) => std::thread::available_parallelism().map_or(1, |p| p.get()),
+    }
+}
+
 /// The decision core of [`shards_from_env`], split out so the fallback is
 /// testable without touching process-global env state.
 fn resolve_shards(requested: usize, cores: usize, force: bool, warn: bool) -> usize {

@@ -12,7 +12,6 @@ use crate::message::ChannelModel;
 use crate::metrics::{Metrics, RunReport, TICKS_PER_UNIT};
 use crate::network::{Network, NodeTables};
 use crate::protocol::{Context, Inbox, Incoming, SyncProtocol, WakeCause};
-use crate::trace::{Trace, TraceEvent};
 
 /// Configuration of a [`SyncEngine`] run.
 #[derive(Debug, Clone)]
@@ -38,19 +37,15 @@ pub struct SyncConfig {
     pub obs_windows: crate::obs::WindowCfg,
     /// Count CONGEST violations instead of panicking.
     pub record_congest_violations: bool,
-    /// Record an execution trace with the given event capacity.
-    pub trace_capacity: Option<usize>,
     /// Record a model-conformance [`crate::audit::AuditLog`] with the given
-    /// event capacity (`None` = off). Independent of `trace_capacity`: the
-    /// audit log additionally carries logical timestamps, payload-arena
-    /// generations, and advice reads.
+    /// event capacity (`None` = off).
     #[cfg(feature = "audit")]
     pub audit_capacity: Option<usize>,
     /// Number of intra-run worker shards (default 1 = serial). With `K > 1`
     /// the per-round deliver/step loop is parallelized over `K` contiguous
     /// node ranges under the round barrier; output is byte-identical to the
-    /// serial run at any shard count. Runs that record traces or audit logs
-    /// or track ports fall back to the serial path silently (the output is
+    /// serial run at any shard count. Runs that record audit logs or track
+    /// ports fall back to the serial path silently (the output is
     /// the same either way).
     pub shards: usize,
 }
@@ -67,7 +62,6 @@ impl Default for SyncConfig {
             obs: crate::obs::ObsLevel::Full,
             obs_windows: crate::obs::WindowCfg::default(),
             record_congest_violations: false,
-            trace_capacity: None,
             #[cfg(feature = "audit")]
             audit_capacity: None,
             shards: 1,
@@ -283,7 +277,6 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             .collect();
         pending_wakes.sort_unstable();
         let mut wake_cursor = 0usize;
-        let mut trace: Option<Trace> = self.config.trace_capacity.map(Trace::with_capacity);
         #[cfg(feature = "audit")]
         let mut audit_log = self
             .config
@@ -352,13 +345,6 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             obs.tl_delivered(tick, in_flight.len() as u64);
             for m in in_flight.drain(..) {
                 metrics.received_by[m.to.index()] += 1;
-                if let Some(tr) = trace.as_mut() {
-                    tr.record(TraceEvent::Deliver {
-                        tick,
-                        from: NodeId::new(m.from as usize),
-                        to: m.to,
-                    });
-                }
                 // Recorded before any wake of this round, so wake causality
                 // streams in order (the whole in-flight queue drains first).
                 #[cfg(feature = "audit")]
@@ -422,13 +408,6 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                     // the same round: the node is a root of the causal
                     // forest, not a successor.
                     obs.clear_wake_pred(v.index());
-                }
-                if let Some(tr) = trace.as_mut() {
-                    tr.record(TraceEvent::Wake {
-                        tick,
-                        node: v,
-                        cause,
-                    });
                 }
                 #[cfg(feature = "audit")]
                 if let Some(log) = audit_log.as_mut() {
@@ -521,14 +500,6 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 let hot = self.tables.edge_hot[slot];
                 let to = NodeId::new(hot.to as usize);
                 let bits = arena.bits(r);
-                if let Some(tr) = trace.as_mut() {
-                    tr.record(TraceEvent::Send {
-                        tick,
-                        from,
-                        to,
-                        bits,
-                    });
-                }
                 #[cfg(feature = "audit")]
                 if let Some(log) = audit_log.as_mut() {
                     log.record(crate::audit::AuditEvent::Send {
@@ -581,7 +552,6 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             outputs,
             truncated,
             metrics,
-            trace,
             obs,
             #[cfg(feature = "audit")]
             audit_log,
@@ -593,14 +563,11 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
         &self.protocols
     }
 
-    /// Whether this run can take the sharded path. Trace/audit recording
+    /// Whether this run can take the sharded path. Audit recording
     /// and port tracking fall back to the serial path — which produces
     /// identical output, so the fallback is safe to keep silent.
     fn sharded_eligible(&self) -> bool {
-        if self.config.shards <= 1
-            || self.config.trace_capacity.is_some()
-            || self.config.track_ports
-        {
+        if self.config.shards <= 1 || self.config.track_ports {
             return false;
         }
         #[cfg(feature = "audit")]
@@ -792,7 +759,6 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             outputs,
             truncated,
             metrics,
-            trace: None,
             obs,
             #[cfg(feature = "audit")]
             audit_log: None,

@@ -1,7 +1,19 @@
-//! Terminal visualization helpers: sparklines and histograms for run
-//! metrics (wake fronts, per-node loads, trial distributions).
+//! Terminal visualization helpers: sparklines for run metrics (wake fronts,
+//! per-node loads, trial distributions).
 
-/// Renders a sparkline of the values using Unicode block characters.
+/// The eight Unicode block heights a sparkline cell can take, lowest first.
+pub const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+
+/// The block for a fraction `t` of full height: `t` in `[0, 1]` maps to the
+/// nearest of the eight [`BLOCKS`]; values outside (and NaN) clamp to the
+/// ends.
+pub fn block(t: f64) -> char {
+    let idx = (t * (BLOCKS.len() - 1) as f64).round() as usize;
+    BLOCKS[idx.min(BLOCKS.len() - 1)]
+}
+
+/// Renders a sparkline of the values using Unicode block characters,
+/// scaled linearly between the series minimum and maximum.
 ///
 /// Empty input renders an empty string; constant input renders mid-height
 /// blocks.
@@ -13,53 +25,12 @@
 /// assert_eq!(line.chars().count(), 4);
 /// ```
 pub fn sparkline(values: &[f64]) -> String {
-    const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if values.is_empty() {
-        return String::new();
-    }
     let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
     let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     values
         .iter()
-        .map(|&v| {
-            let t = if hi > lo { (v - lo) / (hi - lo) } else { 0.5 };
-            let idx = ((t * (BLOCKS.len() - 1) as f64).round() as usize).min(BLOCKS.len() - 1);
-            BLOCKS[idx]
-        })
+        .map(|&v| block(if hi > lo { (v - lo) / (hi - lo) } else { 0.5 }))
         .collect()
-}
-
-/// Renders a horizontal-bar histogram of the values over `buckets` equal
-/// ranges; one line per bucket, bars scaled to `width` characters.
-///
-/// # Panics
-///
-/// Panics for `buckets == 0` or `width == 0`.
-pub fn histogram(values: &[f64], buckets: usize, width: usize) -> String {
-    assert!(buckets > 0, "histogram needs at least one bucket");
-    assert!(width > 0, "histogram needs positive width");
-    if values.is_empty() {
-        return String::from("(no data)\n");
-    }
-    let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let span = (hi - lo).max(f64::MIN_POSITIVE);
-    let mut counts = vec![0usize; buckets];
-    for &v in values {
-        let idx = (((v - lo) / span) * buckets as f64) as usize;
-        counts[idx.min(buckets - 1)] += 1;
-    }
-    let max_count = counts.iter().copied().max().unwrap_or(1).max(1);
-    let mut out = String::new();
-    for (i, &c) in counts.iter().enumerate() {
-        let from = lo + span * i as f64 / buckets as f64;
-        let to = lo + span * (i + 1) as f64 / buckets as f64;
-        let bar_len = (c * width).div_ceil(max_count);
-        let bar: String =
-            std::iter::repeat_n('█', if c > 0 { bar_len.max(1) } else { 0 }).collect();
-        out.push_str(&format!("{from:10.2} – {to:10.2} │{bar:<width$}│ {c}\n"));
-    }
-    out
 }
 
 /// Renders the growth of the awake set over time as a sparkline plus
@@ -101,31 +72,6 @@ mod tests {
         let c = sparkline(&[3.0, 3.0, 3.0]);
         let chars: Vec<char> = c.chars().collect();
         assert!(chars.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn histogram_counts_everything() {
-        let values: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let h = histogram(&values, 4, 20);
-        assert_eq!(h.lines().count(), 4);
-        let total: usize = h
-            .lines()
-            .map(|l| l.rsplit(' ').next().unwrap().parse::<usize>().unwrap())
-            .sum();
-        assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn histogram_empty_and_degenerate() {
-        assert!(histogram(&[], 3, 10).contains("no data"));
-        let h = histogram(&[5.0, 5.0], 2, 10);
-        assert!(h.lines().count() == 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket")]
-    fn histogram_zero_buckets_panics() {
-        histogram(&[1.0], 0, 10);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Leader election under adversarial wake-up, with an execution trace.
+//! Leader election under adversarial wake-up, with an audit log.
 //!
 //! The paper's related work (Section 1.3) frames leader election as the
 //! classic consumer of wake-up primitives; this example runs the
 //! `LeaderElect` extension (Theorem 3's DFS tokens + completion
 //! announcements) under a hostile staggered schedule and prints the wake
-//! front from the recorded trace.
+//! front from the recorded audit log.
 //!
 //! ```text
 //! cargo run --example leader_election
@@ -13,7 +13,8 @@
 use wakeup::core::leader::LeaderElect;
 use wakeup::graph::{generators, NodeId};
 use wakeup::sim::adversary::WakeSchedule;
-use wakeup::sim::{AsyncConfig, AsyncEngine, Network};
+use wakeup::sim::audit::AuditEvent;
+use wakeup::sim::{AsyncConfig, AsyncEngine, Network, TICKS_PER_UNIT};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 48usize;
@@ -30,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let config = AsyncConfig {
         seed: 5,
-        trace_capacity: Some(200_000),
+        audit_capacity: Some(200_000),
         ..AsyncConfig::default()
     };
     let report = AsyncEngine::<LeaderElect>::new(&net, config).run(&schedule);
@@ -53,13 +54,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.metrics.time_units()
     );
 
-    // Render the first stretch of the wake front from the trace.
-    let trace = report.trace.as_ref().unwrap();
+    // The engines record wakes in tick order, so the log's wake events are
+    // already the wake front.
+    let log = report.audit_log.as_ref().unwrap();
     println!("wake front (first 12 wake-ups):");
-    for (t, node, cause) in trace.wake_front().into_iter().take(12) {
-        println!("  t = {t:7.3}  {node}  ({cause:?})");
+    let wakes = log.events().iter().filter_map(|e| match *e {
+        AuditEvent::Wake { tick, node, cause } => Some((tick, node, cause)),
+        _ => None,
+    });
+    for (tick, node, cause) in wakes.take(12) {
+        let t = tick as f64 / TICKS_PER_UNIT as f64;
+        println!("  t = {t:7.3}  {}  ({cause:?})", NodeId::new(node as usize));
     }
-    println!("\ntimeline head:");
-    print!("{}", trace.render_timeline(8));
+    println!("\ntimeline head (audit JSONL):");
+    for line in log.to_jsonl().lines().take(8) {
+        println!("  {line}");
+    }
     Ok(())
 }

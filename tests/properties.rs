@@ -198,14 +198,14 @@ proptest! {
         g in connected_graph(),
         seed in 0u64..100,
     ) {
-        use wakeup::sim::invariants::check_standard_invariants;
+        use wakeup::sim::audit::{AuditScope, Auditor};
         use wakeup::sim::AsyncConfig;
         use wakeup::sim::AsyncEngine;
         let n = g.n();
         let net = Network::kt1(g, seed);
         let config = AsyncConfig {
             seed,
-            trace_capacity: Some(1 << 20),
+            audit_capacity: Some(1 << 20),
             ..AsyncConfig::default()
         };
         let mut delays = RandomDelay::new(seed ^ 0xF00D);
@@ -213,8 +213,9 @@ proptest! {
             &WakeSchedule::single(NodeId::new(seed as usize % n)),
             &mut delays,
         );
-        let trace = report.trace.as_ref().unwrap();
-        let violations = check_standard_invariants(trace, &net, !report.truncated);
+        let log = report.audit_log.as_ref().unwrap();
+        let violations =
+            Auditor::standard(AuditScope::new(&net).with_completed(!report.truncated)).run(log);
         prop_assert!(violations.is_empty(), "{:?}", violations);
     }
 
