@@ -352,7 +352,7 @@ impl DelaySpec {
 pub struct EngineSpec {
     /// Engine seed (node randomness).
     pub seed: u64,
-    /// Intra-run shard count, `1..=16`.
+    /// Intra-run shard count, `1..=`[`wakeup_sim::MAX_SHARDS`].
     pub shards: usize,
     /// Whether conformance runs may attach the audit recorder.
     pub audit: bool,
@@ -567,10 +567,10 @@ impl ScenarioSpec {
                 detail: "wake \"centers\" requires the \"class-g\" graph family".into(),
             });
         }
-        if !(1..=16).contains(&self.engine.shards) {
+        if !(1..=wakeup_sim::MAX_SHARDS).contains(&self.engine.shards) {
             return Err(SpecError::OutOfRange {
                 at: "$.engine.shards".into(),
-                detail: "must be in 1..=16".into(),
+                detail: format!("must be in 1..={}", wakeup_sim::MAX_SHARDS),
             });
         }
         if let Some(report) = &self.report {

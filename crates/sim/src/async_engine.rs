@@ -17,12 +17,15 @@
 //! count: schedule wakes run first in ascending node-id order, then the
 //! tick's deliveries as one batch per receiving node, receivers ascending,
 //! each receiver's batch in channel send order (bucket insertion order is
-//! send order, and the per-receiver scatter preserves it). Canonicalizing
-//! the serial engine this way is what lets the sharded path (see
-//! [`AsyncConfig::shards`] and the `shard` module) reproduce its output
-//! byte for byte: shard-owned node ranges are contiguous and ascending, so
-//! draining cross-shard mailboxes phase-major/source-shard-major replays
-//! exactly this order.
+//! send order, and the per-receiver scatter preserves it).
+//!
+//! Every run goes through one per-tick body, the shard worker's (see the
+//! `shard` module). The default one-shard run *is* the serial execution:
+//! the calling thread drives the worker inline and its sends go straight
+//! into its wheel. With [`AsyncConfig::shards`] `> 1` the canonical order is
+//! what keeps the output byte-identical: shard-owned node ranges are
+//! contiguous and ascending, so draining cross-shard mailboxes
+//! phase-major/source-shard-major replays exactly this order.
 //!
 //! Message payloads live out-of-line in a [`PayloadArena`] (a refcounted
 //! slab with a free list): the handle created when a context enqueues a send
@@ -79,13 +82,14 @@ pub struct AsyncConfig {
     /// event capacity (`None` = off).
     #[cfg(feature = "audit")]
     pub audit_capacity: Option<usize>,
-    /// Number of intra-run worker shards (default 1 = serial). With `K > 1`
-    /// the nodes are partitioned into `K` contiguous ranges advanced in
-    /// lockstep tick windows by `K` threads; output is byte-identical to
-    /// the serial run at any shard count. Runs that record audit logs, track
-    /// ports, or use a delay strategy without a deterministic
-    /// [`DelayStrategy::fork`] fall back to the serial path silently (the
-    /// output is the same either way).
+    /// Number of intra-run worker shards (default 1), clamped to the node
+    /// count and to [`crate::MAX_SHARDS`]. One shard is the serial run,
+    /// driven by the calling thread. With `K > 1` the nodes are partitioned
+    /// into `K` contiguous ranges advanced in lockstep tick windows by `K`
+    /// threads; output is byte-identical at any shard count. Runs that
+    /// record an audit log, track ports, or use a delay strategy without a
+    /// deterministic [`DelayStrategy::fork`] always run on one shard
+    /// ([`crate::RuntimeCounters::shards`] reports the count used).
     pub shards: usize,
 }
 
@@ -240,43 +244,32 @@ pub struct AsyncEngine<'n, P: AsyncProtocol> {
     tables: Arc<NodeTables>,
     config: AsyncConfig,
     protocols: Vec<P>,
-    scratch: AsyncScratch<P::Msg>,
-}
-
-/// Run-to-run reusable buffers: the wheel, the payload arena, the flat
-/// per-channel arrays, and the outbox/batch buffers lent to handlers. Kept
-/// in the engine so [`AsyncEngine::reset`]-then-[`AsyncEngine::run_mut`]
-/// trial loops recycle every steady-state allocation.
-struct AsyncScratch<M> {
-    wheel: TimerWheel,
-    arena: PayloadArena<M>,
+    /// Per directed-edge slot: latest delivery tick scheduled on the
+    /// channel (the FIFO horizon); each worker borrows its own edge range.
     channel_next: Vec<u64>,
+    /// Per directed-edge slot: messages sent so far on the channel.
     channel_seq: Vec<u64>,
-    entries_buf: Vec<(Port, PayloadRef)>,
-    batch_buf: Vec<(Incoming, M)>,
-    /// Per-receiver scatter lists for the within-tick delivery phase,
-    /// lazily sized to `n` on first use.
-    pending: Vec<Vec<DeliverEntry>>,
-    /// Receivers with a non-empty `pending` list this tick.
-    touched: Vec<u32>,
-    /// Per-shard state for sharded runs; empty until the first `shards > 1`
-    /// run, rebuilt only when the shard count changes.
-    shards: Vec<AsyncShardScratch<M>>,
+    /// One worker's run-to-run buffers per shard, kept in the engine so
+    /// [`AsyncEngine::reset`]-then-[`AsyncEngine::run_mut`] trial loops
+    /// recycle every steady-state allocation; rebuilt only when the shard
+    /// count changes.
+    scratch: Vec<AsyncShardScratch<P::Msg>>,
 }
 
-/// Run-to-run reusable per-shard buffers (the sharded counterpart of the
-/// fields `AsyncScratch` holds once for serial runs).
+/// Run-to-run reusable buffers of one worker shard.
 struct AsyncShardScratch<M> {
     wheel: TimerWheel,
     arena: PayloadArena<M>,
+    /// Per-receiver scatter lists for the within-tick delivery phase,
+    /// lazily sized to the shard's node count on first use.
     pending: Vec<Vec<DeliverEntry>>,
+    /// Receivers with a non-empty `pending` list this tick.
     touched: Vec<u32>,
+    /// Reusable outbox buffer lent to every handler invocation.
     entries_buf: Vec<(Port, PayloadRef)>,
+    /// Reusable materialized-inbox buffer lent to every batch delivery.
     batch_buf: Vec<(Incoming, M)>,
-    /// Staged outbound messages, one buffer per `(destination shard, phase)`.
-    stage: Vec<Vec<CrossMsg<M>>>,
-    /// Scratch a mailbox cell is swapped into while draining.
-    drain_buf: Vec<CrossMsg<M>>,
+    stage: crate::shard::Stage<CrossMsg<M>>,
 }
 
 impl<M> AsyncShardScratch<M> {
@@ -288,8 +281,7 @@ impl<M> AsyncShardScratch<M> {
             touched: Vec::new(),
             entries_buf: Vec::new(),
             batch_buf: Vec::new(),
-            stage: (0..k * crate::shard::PHASES).map(|_| Vec::new()).collect(),
-            drain_buf: Vec::new(),
+            stage: crate::shard::Stage::new(k),
         }
     }
 }
@@ -303,7 +295,7 @@ struct CrossMsg<M> {
     payload: crate::shard::CrossPayload<M>,
 }
 
-/// What each shard publishes at a window boundary for the coordinator.
+/// What a worker publishes at a window boundary for the coordinator.
 #[derive(Clone, Copy)]
 struct AsyncPublished {
     /// Earliest future event this shard knows about (its own pending wakes,
@@ -360,17 +352,9 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             tables,
             config,
             protocols,
-            scratch: AsyncScratch {
-                wheel: TimerWheel::new(),
-                arena: PayloadArena::default(),
-                channel_next: vec![0; dir_edges],
-                channel_seq: vec![0; dir_edges],
-                entries_buf: Vec::new(),
-                batch_buf: Vec::new(),
-                pending: Vec::new(),
-                touched: Vec::new(),
-                shards: Vec::new(),
-            },
+            channel_next: vec![0; dir_edges],
+            channel_seq: vec![0; dir_edges],
+            scratch: Vec::new(),
         }
     }
 
@@ -425,162 +409,33 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         schedule: &WakeSchedule,
         delays: &mut dyn DelayStrategy,
     ) -> RunReport {
-        if let Some(forks) = self.sharded_eligible(delays) {
-            return self.run_sharded(schedule, forks);
+        #[cfg(feature = "audit")]
+        let audit = self.config.audit_capacity.is_some();
+        #[cfg(not(feature = "audit"))]
+        let audit = false;
+        let k = crate::shard::shard_count(
+            self.net.n(),
+            self.config.shards,
+            audit || self.config.track_ports,
+            Some(&*delays),
+        );
+        if k == 1 {
+            // The one worker advances the caller's own strategy.
+            return self.run_workers(schedule, 1, std::iter::once(delays), |w, coord| {
+                crate::shard::drive_inline(&mut w[0], coord)
+            });
         }
-        let net = &*self.net;
-        let tables = &*self.tables;
-        let config = &self.config;
-        let n = net.n();
-        self.scratch.wheel.clear();
-        self.scratch.arena.clear();
-        self.scratch.channel_next.fill(0);
-        self.scratch.channel_seq.fill(0);
-        if self.scratch.pending.len() < n {
-            self.scratch.pending.resize_with(n, Vec::new);
-        }
-        // Canonical wake order: (tick, node id), not schedule entry order.
-        let mut wakes: Vec<(u64, NodeId)> = schedule.entries().to_vec();
-        wakes.sort_unstable_by_key(|&(tick, v)| (tick, v));
-        let mut st = RunState {
-            net,
-            send_run: crate::obs::PairRun::new(),
-            tables,
-            config,
-            protocols: &mut self.protocols,
-            metrics: Metrics::new(n),
-            obs: crate::obs::Obs::with_windows(n, config.obs, config.obs_windows),
-            outputs: vec![None; n],
-            awake: vec![false; n],
-            awake_count: 0,
-            wheel: &mut self.scratch.wheel,
-            arena: &mut self.scratch.arena,
-            channel_next: &mut self.scratch.channel_next,
-            channel_seq: &mut self.scratch.channel_seq,
-            ports_touched: if config.track_ports {
-                DenseBits::new(tables.directed_edges())
-            } else {
-                DenseBits::default()
-            },
-            #[cfg(feature = "audit")]
-            audit: config
-                .audit_capacity
-                .map(crate::audit::AuditLog::with_capacity),
-            entries_buf: std::mem::take(&mut self.scratch.entries_buf),
-            batch_buf: std::mem::take(&mut self.scratch.batch_buf),
-        };
-        let mut wake_cursor = 0usize;
-        let mut processed = 0u64;
-        let mut truncated = false;
-        // Batch sizes accumulate in registers across the whole event loop
-        // (one spill per size change) rather than one histogram
-        // read-modify-write per batch — see `ValueRun`.
-        let obs_full = config.obs == crate::obs::ObsLevel::Full;
-        let mut batch_run = crate::obs::ValueRun::new();
-        if let Some(&(first_tick, _)) = wakes.first() {
-            let mut now = first_tick;
-            let mut pending = std::mem::take(&mut self.scratch.pending);
-            let mut touched = std::mem::take(&mut self.scratch.touched);
-            loop {
-                // Phase 0: schedule wakes at `now`, ascending node id (the
-                // canonical within-tick order — see the module docs).
-                while wake_cursor < wakes.len() && wakes[wake_cursor].0 == now {
-                    let v = wakes[wake_cursor].1;
-                    wake_cursor += 1;
-                    processed += 1;
-                    if !st.awake[v.index()] {
-                        st.wake_node(v, WakeCause::Adversary, now, delays);
-                    }
-                }
-                // Phase 1: deliveries at `now`, one batch per receiver,
-                // receivers ascending. The scatter keeps each receiver's
-                // entries in bucket — i.e. channel send — order.
-                let bucket = st.wheel.take_bucket(now);
-                processed += bucket.len() as u64;
-                st.obs.tl_delivered(now, bucket.len() as u64);
-                for &e in bucket.iter() {
-                    let pend = &mut pending[e.to as usize];
-                    if pend.is_empty() {
-                        touched.push(e.to);
-                    }
-                    pend.push(e);
-                }
-                touched.sort_unstable();
-                for (i, &to) in touched.iter().enumerate() {
-                    // Pull the next receiver's protocol row and scatter
-                    // list toward the cache while this batch is handled.
-                    if let Some(&nx) = touched.get(i + 1) {
-                        crate::prefetch::prefetch_index(st.protocols, nx as usize);
-                        crate::prefetch::prefetch_index(&pending, nx as usize);
-                    }
-                    let mut pend = std::mem::take(&mut pending[to as usize]);
-                    if obs_full {
-                        batch_run.note(&mut st.obs.batch_sizes, pend.len() as u64);
-                    }
-                    st.deliver_batch(&pend, now, delays);
-                    pend.clear();
-                    pending[to as usize] = pend;
-                }
-                touched.clear();
-                st.wheel.restore_bucket(bucket);
-                // The event cap is checked at tick boundaries only, so a
-                // truncation point never depends on within-tick processing
-                // order or on the shard count. Undelivered payloads stay in
-                // the arena until the next run's `clear`.
-                if processed > config.max_events {
-                    truncated = true;
-                    break;
-                }
-                let next_wake = wakes.get(wake_cursor).map(|&(tick, _)| tick);
-                let wheel_next = st.wheel.next_occupied_after(now);
-                if let Some(d) = wheel_next {
-                    // Runtime diag: deepest forward scan the wheel performed
-                    // (once per tick advance, never per event).
-                    st.obs.runtime.wheel_max_scan = st.obs.runtime.wheel_max_scan.max(d - now);
-                }
-                now = match (next_wake, wheel_next) {
-                    (Some(w), Some(d)) => w.min(d),
-                    (Some(w), None) => w,
-                    (None, Some(d)) => d,
-                    (None, None) => break,
-                };
-            }
-            self.scratch.pending = pending;
-            self.scratch.touched = touched;
-        }
-        if config.track_ports {
-            st.metrics.ports_used = Some(
-                (0..n)
-                    .map(|v| {
-                        st.ports_touched
-                            .count_range(tables.edge_offset[v], tables.edge_offset[v + 1])
-                            as u32
-                    })
-                    .collect(),
-            );
-        }
-        batch_run.flush(&mut st.obs.batch_sizes);
-        st.send_run
-            .flush(&mut st.obs.message_bits, &mut st.obs.delay_ticks);
-        st.obs.timeline.finish();
-        st.obs.events = processed;
-        st.obs.runtime.shards = 1;
-        st.obs.runtime.arena_high_water = st.arena.high_water() as u64;
-        st.obs.runtime.prefetch_batches = st.obs.batch_sizes.count();
-        crate::obs::add_global_events(processed);
-        let report = RunReport {
-            all_awake: st.awake_count == n,
-            rounds: 0,
-            outputs: st.outputs,
-            truncated,
-            metrics: st.metrics,
-            obs: st.obs,
-            #[cfg(feature = "audit")]
-            audit_log: st.audit,
-        };
-        self.scratch.entries_buf = st.entries_buf;
-        self.scratch.batch_buf = st.batch_buf;
-        report
+        let mut forks: Vec<Box<dyn DelayStrategy + Send>> = (0..k)
+            .map(|_| {
+                delays
+                    .fork()
+                    .expect("shard_count checked that the strategy forks")
+            })
+            .collect();
+        let forks = forks.iter_mut().map(|f| &mut **f);
+        self.run_workers(schedule, k, forks, |w, coord| {
+            crate::shard::drive_threaded(w, coord)
+        })
     }
 
     /// The per-node protocol states (final states after a run).
@@ -588,332 +443,280 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         &self.protocols
     }
 
-    /// Decides whether this run can take the sharded path, and if so forks
-    /// the delay strategy once per shard. Audit recording, port
-    /// tracking, and unforkable (history-dependent) delay strategies fall
-    /// back to the serial path — which produces identical output, so the
-    /// fallback is safe to keep silent.
-    fn sharded_eligible(
-        &self,
-        delays: &mut dyn DelayStrategy,
-    ) -> Option<Vec<Box<dyn DelayStrategy + Send>>> {
-        if self.config.shards <= 1 || self.config.track_ports {
-            return None;
-        }
-        #[cfg(feature = "audit")]
-        if self.config.audit_capacity.is_some() {
-            return None;
-        }
-        let plan = crate::shard::ShardPlan::new(self.net.n(), self.config.shards);
-        if plan.k <= 1 {
-            return None;
-        }
-        (0..plan.k).map(|_| delays.fork()).collect()
-    }
-
-    /// The sharded run: `K` workers advance their node ranges in lockstep
-    /// tick windows under the τ-lookahead guarantee, coordinated by this
-    /// thread through a two-phase barrier per window. See the `shard`
-    /// module docs for the protocol and the determinism argument.
-    fn run_sharded(
+    /// Builds `k` workers over contiguous node ranges, worker `s` driving
+    /// the `s`-th of `delays`, lets `drive` run them to the end under the
+    /// engine's next-window rule, and assembles the report.
+    fn run_workers<'d, D: DelayStrategy + ?Sized + 'd>(
         &mut self,
         schedule: &WakeSchedule,
-        forks: Vec<Box<dyn DelayStrategy + Send>>,
+        k: usize,
+        delays: impl Iterator<Item = &'d mut D>,
+        drive: impl FnOnce(&mut [AsyncShard<'_, P, D>], &mut crate::shard::Coord),
     ) -> RunReport {
-        use crate::shard::{split_lengths, Cells, ShardMetrics, ShardPlan};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::{Barrier, Mutex};
+        use crate::shard::{split_lengths, ShardMetrics, ShardPlan};
 
         let net = &*self.net;
         let tables = &*self.tables;
         let config = &self.config;
         let n = net.n();
-        let plan = ShardPlan::new(n, config.shards);
-        let k = plan.k;
-        if self.scratch.shards.len() != k {
-            self.scratch.shards = (0..k).map(|_| AsyncShardScratch::new(k)).collect();
+        let plan = ShardPlan::new(n, k);
+        debug_assert_eq!(plan.k, k);
+        if self.scratch.len() != k {
+            self.scratch = (0..k).map(|_| AsyncShardScratch::new(k)).collect();
         }
-        self.scratch.channel_next.fill(0);
-        self.scratch.channel_seq.fill(0);
-        let mut wakes_all: Vec<(u64, NodeId)> = schedule.entries().to_vec();
-        wakes_all.sort_unstable_by_key(|&(tick, v)| (tick, v));
+        self.channel_next.fill(0);
+        self.channel_seq.fill(0);
+        // Canonical wake order: (tick, node id), not schedule entry order.
+        let mut wakes: Vec<(u64, NodeId)> = schedule.entries().to_vec();
+        wakes.sort_unstable();
         let mut metrics = Metrics::new(n);
         let mut outputs: Vec<Option<u64>> = vec![None; n];
         let mut awake = vec![false; n];
-        let node_lens: Vec<usize> = (0..k)
-            .map(|s| {
+        let node_lens = plan.ranges().map(|(lo, hi)| hi - lo);
+        let edge_lens = plan
+            .ranges()
+            .map(|(lo, hi)| tables.edge_offset[hi] - tables.edge_offset[lo]);
+        let mut workers: Vec<AsyncShard<'_, P, D>> = Vec::with_capacity(k);
+        // The slice iterators borrow the run-global arrays until the
+        // workers hold their parts.
+        {
+            let mut prot_it = split_lengths(self.protocols.as_mut_slice(), node_lens.clone());
+            let mut out_it = split_lengths(outputs.as_mut_slice(), node_lens.clone());
+            let mut awake_it = split_lengths(awake.as_mut_slice(), node_lens.clone());
+            let mut wt_it = split_lengths(metrics.wake_tick.as_mut_slice(), node_lens.clone());
+            let mut sb_it = split_lengths(metrics.sent_by.as_mut_slice(), node_lens.clone());
+            let mut rb_it = split_lengths(metrics.received_by.as_mut_slice(), node_lens);
+            let mut cn_it = split_lengths(self.channel_next.as_mut_slice(), edge_lens.clone());
+            let mut cs_it = split_lengths(self.channel_seq.as_mut_slice(), edge_lens);
+            for ((s, scr), delays) in self.scratch.iter_mut().enumerate().zip(delays) {
                 let (lo, hi) = plan.range(s);
-                hi - lo
-            })
-            .collect();
-        let edge_lens: Vec<usize> = (0..k)
-            .map(|s| {
-                let (lo, hi) = plan.range(s);
-                tables.edge_offset[hi] - tables.edge_offset[lo]
-            })
-            .collect();
-        let mut prot_it = split_lengths(self.protocols.as_mut_slice(), &node_lens).into_iter();
-        let mut out_it = split_lengths(outputs.as_mut_slice(), &node_lens).into_iter();
-        let mut awake_it = split_lengths(awake.as_mut_slice(), &node_lens).into_iter();
-        let mut wt_it = split_lengths(metrics.wake_tick.as_mut_slice(), &node_lens).into_iter();
-        let mut sb_it = split_lengths(metrics.sent_by.as_mut_slice(), &node_lens).into_iter();
-        let mut rb_it = split_lengths(metrics.received_by.as_mut_slice(), &node_lens).into_iter();
-        let mut cn_it =
-            split_lengths(self.scratch.channel_next.as_mut_slice(), &edge_lens).into_iter();
-        let mut cs_it =
-            split_lengths(self.scratch.channel_seq.as_mut_slice(), &edge_lens).into_iter();
-        let mut fork_it = forks.into_iter();
-        let mut workers: Vec<AsyncShard<'_, P>> = Vec::with_capacity(k);
-        for (s, scr) in self.scratch.shards.iter_mut().enumerate() {
-            let (lo, hi) = plan.range(s);
-            let local_n = hi - lo;
-            let AsyncShardScratch {
-                wheel,
-                arena,
-                pending,
-                touched,
-                entries_buf,
-                batch_buf,
-                stage,
-                drain_buf,
-            } = scr;
-            wheel.clear();
-            arena.clear();
-            if pending.len() < local_n {
-                pending.resize_with(local_n, Vec::new);
-            }
-            touched.clear();
-            let wakes: Vec<(u64, NodeId)> = wakes_all
-                .iter()
-                .copied()
-                .filter(|&(_, v)| v.index() >= lo && v.index() < hi)
-                .collect();
-            workers.push(AsyncShard {
-                me: s,
-                lo,
-                plan,
-                net,
-                tables,
-                config,
-                protocols: prot_it.next().unwrap(),
-                outputs: out_it.next().unwrap(),
-                awake: awake_it.next().unwrap(),
-                wake_tick: wt_it.next().unwrap(),
-                sent_by: sb_it.next().unwrap(),
-                received_by: rb_it.next().unwrap(),
-                channel_next: cn_it.next().unwrap(),
-                channel_seq: cs_it.next().unwrap(),
-                edge_base: tables.edge_offset[lo],
-                sm: ShardMetrics::default(),
-                obs: crate::obs::ShardObs::new(local_n, config.obs, config.obs_windows),
-                send_run: crate::obs::PairRun::new(),
-                batch_run: crate::obs::ValueRun::new(),
-                wheel,
-                arena,
-                pending,
-                touched,
-                entries_buf,
-                batch_buf,
-                stage,
-                drain_buf,
-                wakes,
-                cursor: 0,
-                delays: fork_it.next().unwrap(),
-                phase: 0,
-                staged_min: u64::MAX,
-                new_events: 0,
-                prev_tick: 0,
-            });
-        }
-        let cells: Cells<CrossMsg<P::Msg>> = Cells::new(k);
-        let slots: Vec<Mutex<AsyncPublished>> = (0..k)
-            .map(|_| Mutex::new(AsyncPublished::default()))
-            .collect();
-        let barrier = Barrier::new(k + 1);
-        let decision = AtomicU64::new(0);
-        let mut processed = 0u64;
-        let mut truncated = false;
-        let mut stall_rounds = 0u64;
-        std::thread::scope(|scope| {
-            let cells = &cells;
-            let slots = &slots;
-            let barrier = &barrier;
-            let decision = &decision;
-            for w in &mut workers {
-                scope.spawn(move || w.run(cells, slots, decision, barrier));
-            }
-            // Coordinator: pick the globally earliest next event (the safe
-            // horizon under τ-lookahead), or stop on quiescence / the cap.
-            let mut first_round = true;
-            loop {
-                barrier.wait();
-                let mut next = u64::MAX;
-                let mut round_events = 0u64;
-                for slot in slots {
-                    let p = *slot.lock().unwrap();
-                    next = next.min(p.next_event);
-                    round_events += p.new_events;
+                let local_n = hi - lo;
+                scr.wheel.clear();
+                scr.arena.clear();
+                if scr.pending.len() < local_n {
+                    scr.pending.resize_with(local_n, Vec::new);
                 }
-                processed += round_events;
-                // Runtime diag: a barrier round in which no shard processed
-                // anything is a pure horizon-advance stall (skip the priming
-                // round — nothing has run yet by construction).
-                if round_events == 0 && !first_round && next != u64::MAX {
-                    stall_rounds += 1;
-                }
-                first_round = false;
-                if processed > config.max_events {
-                    truncated = true;
-                    next = u64::MAX;
-                }
-                decision.store(next, Ordering::Relaxed);
-                barrier.wait();
-                if next == u64::MAX {
-                    break;
-                }
-            }
-        });
-        // Consume the workers first: their field moves end the slice borrows
-        // of `metrics`, so the scalar merge below can take it mutably.
-        let (sms, obs_shards): (Vec<ShardMetrics>, Vec<crate::obs::ShardObs>) =
-            workers.into_iter().map(|w| (w.sm, w.obs)).unzip();
-        let mut awake_total = 0usize;
-        for sm in &sms {
-            sm.merge_into(&mut metrics);
-            awake_total += sm.awake_count;
-        }
-        let all_awake = awake_total == n;
-        if all_awake {
-            // The last wake is the all-awake moment (wake ticks are set from
-            // a monotone cursor, exactly as the serial engine records it).
-            metrics.all_awake_tick = metrics.wake_tick.iter().filter_map(|&t| t).max();
-        }
-        let mut obs = crate::obs::merge_shard_obs(n, config.obs, &obs_shards);
-        obs.events = processed;
-        obs.runtime.stall_rounds = stall_rounds;
-        obs.runtime.prefetch_batches = obs.batch_sizes.count();
-        crate::obs::add_global_events(processed);
-        RunReport {
-            all_awake,
-            rounds: 0,
-            outputs,
-            truncated,
-            metrics,
-            obs,
-            #[cfg(feature = "audit")]
-            audit_log: None,
-        }
-    }
-}
-
-/// All mutable state of one engine run, so the wake/deliver/dispatch helpers
-/// are methods instead of functions threading a dozen `&mut` parameters.
-struct RunState<'e, P: AsyncProtocol> {
-    net: &'e Network,
-    /// Packed (payload bits, delivery delay) run accumulator for the two
-    /// send histograms; lives for the whole run and is flushed once, so the
-    /// common all-sends-identical case costs one compare per message and no
-    /// per-dispatch histogram traffic.
-    send_run: crate::obs::PairRun,
-    tables: &'e NodeTables,
-    config: &'e AsyncConfig,
-    protocols: &'e mut [P],
-    metrics: Metrics,
-    /// Always-on observability accumulator (histograms, phases, wake preds).
-    obs: crate::obs::Obs,
-    outputs: Vec<Option<u64>>,
-    awake: Vec<bool>,
-    awake_count: usize,
-    wheel: &'e mut TimerWheel,
-    /// Payload storage shared by the wheel entries and the handler contexts.
-    arena: &'e mut PayloadArena<P::Msg>,
-    /// Per directed-edge slot: latest delivery tick scheduled on the channel
-    /// (the FIFO horizon — the seed's `last_scheduled` hash map, flattened).
-    channel_next: &'e mut [u64],
-    /// Per directed-edge slot: messages sent so far on the channel.
-    channel_seq: &'e mut [u64],
-    /// Directed-edge slots over which a message was sent or received; empty
-    /// unless `track_ports`.
-    ports_touched: DenseBits,
-    /// Model-conformance event recorder (`audit` feature, off by default).
-    #[cfg(feature = "audit")]
-    audit: Option<crate::audit::AuditLog>,
-    /// Reusable outbox buffer lent to every handler invocation.
-    entries_buf: Vec<(Port, PayloadRef)>,
-    /// Reusable materialized-inbox buffer lent to every batch delivery.
-    batch_buf: Vec<(Incoming, P::Msg)>,
-}
-
-impl<P: AsyncProtocol> RunState<'_, P> {
-    fn wake_node(
-        &mut self,
-        v: NodeId,
-        cause: WakeCause,
-        tick: u64,
-        delays: &mut dyn DelayStrategy,
-    ) {
-        #[cfg(feature = "audit")]
-        if let Some(log) = self.audit.as_mut() {
-            log.record(crate::audit::AuditEvent::Wake {
-                tick,
-                node: v.index() as u32,
-                cause,
-            });
-            // A node consults its advice exactly when it wakes; the length
-            // recorded here is what the advice-accounting invariant checks
-            // against the oracle's assignment.
-            if let Some(advice) = self.config.advice.as_deref() {
-                log.record(crate::audit::AuditEvent::AdviceRead {
-                    tick,
-                    node: v.index() as u32,
-                    bits: advice[v.index()].len() as u32,
+                scr.touched.clear();
+                workers.push(AsyncShard {
+                    me: s,
+                    lo,
+                    plan,
+                    net,
+                    tables,
+                    config,
+                    protocols: prot_it.next().unwrap(),
+                    outputs: out_it.next().unwrap(),
+                    awake: awake_it.next().unwrap(),
+                    wake_tick: wt_it.next().unwrap(),
+                    sent_by: sb_it.next().unwrap(),
+                    received_by: rb_it.next().unwrap(),
+                    channel_next: cn_it.next().unwrap(),
+                    channel_seq: cs_it.next().unwrap(),
+                    edge_base: tables.edge_offset[lo],
+                    ports_touched: if config.track_ports {
+                        DenseBits::new(tables.edge_offset[hi] - tables.edge_offset[lo])
+                    } else {
+                        DenseBits::default()
+                    },
+                    #[cfg(feature = "audit")]
+                    audit: config
+                        .audit_capacity
+                        .map(crate::audit::AuditLog::with_capacity),
+                    sm: ShardMetrics::default(),
+                    obs: crate::obs::ShardObs::new(local_n, config.obs, config.obs_windows),
+                    send_run: crate::obs::PairRun::new(),
+                    batch_run: crate::obs::ValueRun::new(),
+                    scr,
+                    wakes: plan.wakes_of(s, &mut wakes),
+                    cursor: 0,
+                    delays,
+                    phase: 0,
+                    staged_min: u64::MAX,
+                    new_events: 0,
+                    prev_tick: 0,
                 });
             }
         }
-        self.awake[v.index()] = true;
-        self.awake_count += 1;
-        self.obs.tl_wakes(tick, 1);
-        self.metrics.wake_tick[v.index()] = Some(tick);
-        self.metrics.first_wake_tick =
-            Some(self.metrics.first_wake_tick.map_or(tick, |t| t.min(tick)));
-        if self.awake_count == self.awake.len() {
-            self.metrics.all_awake_tick = Some(tick);
+        let mut coord = crate::shard::Coord {
+            cap: config.max_events,
+            ..Default::default()
+        };
+        drive(&mut workers, &mut coord);
+        let outcomes = workers.into_iter().map(AsyncShard::finish).collect();
+        crate::shard::assemble_report(metrics, outputs, config.obs, outcomes, coord)
+    }
+}
+
+/// One worker of an async run: the engine's state restricted to a
+/// contiguous node range (slices of the run-global arrays), its own wheel
+/// and arena, and staging buffers for sends that cross the window boundary.
+/// Local node index = global id − `lo`; local edge slot = global slot −
+/// `edge_base`. `D` is the caller's strategy on a one-shard run and a
+/// [`DelayStrategy::fork`] otherwise.
+struct AsyncShard<'e, P: AsyncProtocol, D: DelayStrategy + ?Sized> {
+    me: usize,
+    lo: usize,
+    plan: crate::shard::ShardPlan,
+    net: &'e Network,
+    tables: &'e NodeTables,
+    config: &'e AsyncConfig,
+    protocols: &'e mut [P],
+    outputs: &'e mut [Option<u64>],
+    awake: &'e mut [bool],
+    wake_tick: &'e mut [Option<u64>],
+    sent_by: &'e mut [u64],
+    received_by: &'e mut [u64],
+    channel_next: &'e mut [u64],
+    channel_seq: &'e mut [u64],
+    edge_base: usize,
+    /// Local edge slots over which a message was sent or received; empty
+    /// unless `track_ports` (one-shard runs only).
+    ports_touched: DenseBits,
+    /// Model-conformance event recorder (`audit` feature; one-shard runs
+    /// only).
+    #[cfg(feature = "audit")]
+    audit: Option<crate::audit::AuditLog>,
+    sm: crate::shard::ShardMetrics,
+    obs: crate::obs::ShardObs,
+    /// Packed (payload bits, delivery delay) run accumulator for the two
+    /// send histograms; flushed once at the end of the run, so the common
+    /// all-sends-identical case costs one compare per message.
+    send_run: crate::obs::PairRun,
+    /// Batch sizes accumulate in registers across the whole run (one spill
+    /// per size change) rather than one histogram update per batch.
+    batch_run: crate::obs::ValueRun,
+    /// The worker's wheel, arena, staging and handler buffers.
+    scr: &'e mut AsyncShardScratch<P::Msg>,
+    /// This shard's schedule wakes, `(tick, id)`-sorted.
+    wakes: Vec<(u64, NodeId)>,
+    cursor: usize,
+    delays: &'e mut D,
+    /// Current within-tick phase: 0 = schedule wakes, 1 = deliveries.
+    phase: u8,
+    /// Earliest delivery staged since the last publish.
+    staged_min: u64,
+    /// Events processed since the last publish.
+    new_events: u64,
+    /// The tick last processed (the wheel's cursor).
+    prev_tick: u64,
+}
+
+impl<P: AsyncProtocol, D: DelayStrategy + ?Sized> AsyncShard<'_, P, D> {
+    /// Flushes the run accumulators and hands back what the report needs.
+    fn finish(mut self) -> crate::shard::ShardOutcome {
+        self.batch_run.flush(&mut self.obs.batch_sizes);
+        self.send_run
+            .flush(&mut self.obs.message_bits, &mut self.obs.delay_ticks);
+        self.obs.timeline.finish();
+        self.obs.arena_high_water = self.scr.arena.high_water() as u64;
+        crate::shard::ShardOutcome {
+            ports_used: self.config.track_ports.then(|| {
+                crate::shard::ports_used(
+                    self.tables,
+                    self.lo,
+                    self.awake.len(),
+                    &self.ports_touched,
+                )
+            }),
+            sm: self.sm,
+            obs: self.obs,
+            #[cfg(feature = "audit")]
+            audit: self.audit,
         }
-        let mut entries = std::mem::take(&mut self.entries_buf);
+    }
+
+    /// The engine's one per-tick body, over this shard's nodes: schedule
+    /// wakes ascending, then one delivery batch per receiver ascending.
+    fn process_tick(&mut self, now: u64) {
+        self.phase = 0;
+        while self.cursor < self.wakes.len() && self.wakes[self.cursor].0 == now {
+            let v = self.wakes[self.cursor].1;
+            self.cursor += 1;
+            self.new_events += 1;
+            if !self.awake[v.index() - self.lo] {
+                self.wake_node(v, WakeCause::Adversary, now);
+            }
+        }
+        self.phase = 1;
+        // The scatter keeps each receiver's entries in bucket — i.e.
+        // channel send — order.
+        let bucket = self.scr.wheel.take_bucket(now);
+        self.new_events += bucket.len() as u64;
+        self.obs.tl_delivered(now, bucket.len() as u64);
+        let mut touched = std::mem::take(&mut self.scr.touched);
+        for &e in bucket.iter() {
+            let pend = &mut self.scr.pending[e.to as usize - self.lo];
+            if pend.is_empty() {
+                touched.push(e.to);
+            }
+            pend.push(e);
+        }
+        touched.sort_unstable();
+        let obs_full = self.obs.level == crate::obs::ObsLevel::Full;
+        for (i, &to) in touched.iter().enumerate() {
+            // Warm the next receiver's protocol state and pending row while
+            // this batch's handler runs.
+            if let Some(&nx) = touched.get(i + 1) {
+                crate::prefetch::prefetch_index(self.protocols, nx as usize - self.lo);
+                crate::prefetch::prefetch_index(&self.scr.pending, nx as usize - self.lo);
+            }
+            let mut pend = std::mem::take(&mut self.scr.pending[to as usize - self.lo]);
+            if obs_full {
+                self.batch_run
+                    .note(&mut self.obs.batch_sizes, pend.len() as u64);
+            }
+            self.deliver_batch(&pend, now);
+            pend.clear();
+            self.scr.pending[to as usize - self.lo] = pend;
+        }
+        touched.clear();
+        self.scr.touched = touched;
+        self.scr.wheel.restore_bucket(bucket);
+    }
+
+    fn wake_node(&mut self, v: NodeId, cause: WakeCause, tick: u64) {
+        #[cfg(feature = "audit")]
+        if let Some(log) = self.audit.as_mut() {
+            let advice = self.config.advice.as_deref().map(Vec::as_slice);
+            log.record_wake(tick, v.index() as u32, cause, advice);
+        }
+        let li = v.index() - self.lo;
+        self.awake[li] = true;
+        self.sm.awake_count += 1;
+        self.obs.tl_wakes(tick, 1);
+        self.wake_tick[li] = Some(tick);
+        self.sm.first_wake_tick = Some(self.sm.first_wake_tick.map_or(tick, |t| t.min(tick)));
+        let mut entries = std::mem::take(&mut self.scr.entries_buf);
         let mut ctx = Context::new(
             v,
             self.net.graph().degree(v),
             self.net.mode(),
             self.tables.id_to_port(v.index()),
             &mut entries,
-            self.arena,
+            &mut self.scr.arena,
             self.config.channel,
             self.config.record_congest_violations,
-            &mut self.metrics.congest_violations,
-            &mut self.outputs[v.index()],
+            &mut self.sm.congest_violations,
+            &mut self.outputs[li],
             &mut self.obs.phases,
             tick,
         );
-        self.protocols[v.index()].on_wake(&mut ctx, cause);
-        self.dispatch_outbox(&mut entries, v, tick, delays);
-        self.entries_buf = entries;
+        self.protocols[li].on_wake(&mut ctx, cause);
+        self.obs.stamp_new_spans(tick, self.phase, v.index() as u32);
+        self.dispatch_outbox(&mut entries, v, tick);
+        self.scr.entries_buf = entries;
     }
 
     /// Delivers a maximal run of same-tick, same-receiver entries: metrics
     /// and audit events per entry, wake-on-message once, one batch handler
-    /// call, one dispatch. Equivalent to delivering the entries one by one — the
-    /// handler's sends land in strictly later ticks either way, so nothing
-    /// this batch does can affect the rest of the current bucket.
-    fn deliver_batch(
-        &mut self,
-        entries: &[DeliverEntry],
-        tick: u64,
-        delays: &mut dyn DelayStrategy,
-    ) {
+    /// call, one dispatch. Equivalent to delivering the entries one by one —
+    /// the handler's sends land in strictly later ticks either way, so
+    /// nothing this batch does can affect the rest of the current bucket.
+    fn deliver_batch(&mut self, entries: &[DeliverEntry], tick: u64) {
         let to = NodeId::new(entries[0].to as usize);
-        self.metrics.received_by[to.index()] += entries.len() as u64;
-        self.metrics.last_receipt_tick =
-            Some(self.metrics.last_receipt_tick.map_or(tick, |t| t.max(tick)));
+        let li = to.index() - self.lo;
+        self.received_by[li] += entries.len() as u64;
+        self.sm.last_receipt_tick = Some(self.sm.last_receipt_tick.map_or(tick, |t| t.max(tick)));
         // Deliveries are recorded before the wake they may cause (below), so
         // the wake-causality invariant can stream the log in order.
         #[cfg(feature = "audit")]
@@ -930,18 +733,18 @@ impl<P: AsyncProtocol> RunState<'_, P> {
         }
         if self.config.track_ports {
             for e in entries {
-                self.ports_touched
-                    .set(self.tables.slot(to, Port::new(e.rport as usize)));
+                let slot = self.tables.slot(to, Port::new(e.rport as usize));
+                self.ports_touched.set(slot - self.edge_base);
             }
         }
-        if !self.awake[to.index()] {
+        if !self.awake[li] {
             // The batch's first entry is the delivery that wakes `to`: its
             // sender becomes `to`'s predecessor in the causal wake forest.
-            self.obs.note_wake_pred(to.index(), entries[0].from);
-            self.wake_node(to, WakeCause::Message, tick, delays);
+            self.obs.note_wake_pred(li, entries[0].from);
+            self.wake_node(to, WakeCause::Message, tick);
         }
         let kt1 = self.net.mode() == crate::knowledge::KnowledgeMode::Kt1;
-        let mut batch = std::mem::take(&mut self.batch_buf);
+        let mut batch = std::mem::take(&mut self.scr.batch_buf);
         debug_assert!(batch.is_empty());
         for e in entries {
             let sender_id = kt1.then(|| self.net.ids().id(NodeId::new(e.from as usize)));
@@ -950,82 +753,86 @@ impl<P: AsyncProtocol> RunState<'_, P> {
                     port: Port::new(e.rport as usize),
                     sender_id,
                 },
-                self.arena.take(e.msg),
+                self.scr.arena.take(e.msg),
             ));
         }
         let mut inbox = Inbox::new(&mut batch);
-        let mut out_entries = std::mem::take(&mut self.entries_buf);
+        let mut out_entries = std::mem::take(&mut self.scr.entries_buf);
         let mut ctx = Context::new(
             to,
             self.net.graph().degree(to),
             self.net.mode(),
             self.tables.id_to_port(to.index()),
             &mut out_entries,
-            self.arena,
+            &mut self.scr.arena,
             self.config.channel,
             self.config.record_congest_violations,
-            &mut self.metrics.congest_violations,
-            &mut self.outputs[to.index()],
+            &mut self.sm.congest_violations,
+            &mut self.outputs[li],
             &mut self.obs.phases,
             tick,
         );
-        self.protocols[to.index()].on_messages_batch(&mut ctx, &mut inbox);
+        self.protocols[li].on_messages_batch(&mut ctx, &mut inbox);
         drop(inbox);
-        self.dispatch_outbox(&mut out_entries, to, tick, delays);
-        self.entries_buf = out_entries;
-        self.batch_buf = batch;
+        self.obs
+            .stamp_new_spans(tick, self.phase, to.index() as u32);
+        self.dispatch_outbox(&mut out_entries, to, tick);
+        self.scr.entries_buf = out_entries;
+        self.scr.batch_buf = batch;
     }
 
-    fn dispatch_outbox(
-        &mut self,
-        entries: &mut Vec<(Port, PayloadRef)>,
-        from: NodeId,
-        tick: u64,
-        delays: &mut dyn DelayStrategy,
-    ) {
+    /// Accounts and schedules one handler's outbox. On a one-shard run
+    /// every send goes straight into the wheel; otherwise it is staged into
+    /// a per-`(shard, phase)` buffer — same-shard sends keep their arena
+    /// handle, cross-shard sends carry the payload itself.
+    fn dispatch_outbox(&mut self, entries: &mut Vec<(Port, PayloadRef)>, from: NodeId, tick: u64) {
         // Most handler invocations send nothing (e.g. an already-awake flood
         // node ignoring a duplicate) — skip everything, including the
-        // histogram flush below, for an empty outbox.
+        // timeline update below, for an empty outbox.
         if entries.is_empty() {
             return;
         }
-        let obs_full = self.obs.level() == crate::obs::ObsLevel::Full;
+        let obs_full = self.obs.level == crate::obs::ObsLevel::Full;
         // Timeline send sums stay in registers across the outbox (every
         // entry shares the dispatch `tick`); one recorder update per outbox
         // keeps struct-field read-modify-writes off the loop-carried path.
         let (mut tl_sends, mut tl_bits) = (0u64, 0u64);
+        self.obs.sends += entries.len() as u64;
         for (port, r) in entries.drain(..) {
             let slot = self.tables.slot(from, port);
             let hot = self.tables.edge_hot[slot];
-            let to = NodeId::new(hot.to as usize);
-            let bits = self.arena.bits(r);
+            let to = hot.to as usize;
+            let bits = self.scr.arena.bits(r);
             #[cfg(feature = "audit")]
             if let Some(log) = self.audit.as_mut() {
                 log.record(crate::audit::AuditEvent::Send {
                     tick,
                     from: from.index() as u32,
-                    to: to.index() as u32,
+                    to: hot.to,
                     bits: bits as u32,
                     slot: r.slot(),
                     gen: r.generation(),
                 });
             }
-            self.metrics.messages_sent += 1;
-            self.metrics.bits_sent += bits as u64;
-            self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-            self.metrics.sent_by[from.index()] += 1;
+            self.sm.messages_sent += 1;
+            self.sm.bits_sent += bits as u64;
+            self.sm.max_message_bits = self.sm.max_message_bits.max(bits);
+            self.sent_by[from.index() - self.lo] += 1;
+            let ls = slot - self.edge_base;
             if self.config.track_ports {
-                self.ports_touched.set(slot);
+                self.ports_touched.set(ls);
             }
-            let delay = delays
-                .delay_ticks(from, to, tick, self.channel_seq[slot])
+            let seq = self.channel_seq[ls];
+            let delay = self
+                .delays
+                .delay_ticks(from, NodeId::new(to), tick, seq)
                 .clamp(1, TICKS_PER_UNIT);
-            self.channel_seq[slot] += 1;
+            self.channel_seq[ls] = seq + 1;
             // FIFO per channel: never deliver before an earlier message on
             // the same channel; equal ticks keep send order because bucket
             // insertion order is send order.
-            let deliver = (tick + delay).max(self.channel_next[slot]);
-            self.channel_next[slot] = deliver;
+            let deliver = (tick + delay).max(self.channel_next[ls]);
+            self.channel_next[ls] = deliver;
             // One packed compare per message covers both send histograms;
             // per-message `record` calls would put six memory
             // read-modify-writes on the loop-carried path and blow the
@@ -1040,108 +847,114 @@ impl<P: AsyncProtocol> RunState<'_, P> {
                 tl_sends += 1;
                 tl_bits += bits as u64;
             }
-            // The receiver-side port is the paper's port_to(to, from),
-            // precomputed per directed edge. The enqueue-time payload handle
-            // rides the wheel untouched.
-            let entry = DeliverEntry {
+            if self.plan.k == 1 {
+                // The receiver-side port is the paper's port_to(to, from),
+                // precomputed per directed edge. The enqueue-time payload
+                // handle rides the wheel untouched.
+                let entry = DeliverEntry {
+                    to: hot.to,
+                    from: from.index() as u32,
+                    rport: hot.rport,
+                    msg: r,
+                };
+                self.scr.wheel.push(tick, deliver, entry);
+                continue;
+            }
+            let dst = self.plan.shard_of(to);
+            let payload = if dst == self.me {
+                crate::shard::CrossPayload::Local(r)
+            } else {
+                crate::shard::CrossPayload::Remote(self.scr.arena.take(r), bits)
+            };
+            self.staged_min = self.staged_min.min(deliver);
+            let m = CrossMsg {
+                deliver,
                 to: hot.to,
                 from: from.index() as u32,
                 rport: hot.rport,
-                msg: r,
+                payload,
             };
-            self.wheel.push(tick, deliver, entry);
+            self.scr.stage.push(dst, self.phase as usize, m);
         }
         if obs_full {
-            // Timeline sends are attributed at the origin dispatch tick.
+            // Timeline sends are attributed at the origin dispatch tick,
+            // never at the receiving shard's ingest.
             self.obs.timeline.note_sends(tick, tl_sends, tl_bits);
         }
     }
 }
 
-/// One worker shard of a sharded async run: the serial engine's state,
-/// restricted to a contiguous node range (slices of the run-global arrays)
-/// plus staging buffers for sends that cross the window boundary. Local
-/// node index = global id − `lo`; local edge slot = global slot −
-/// `edge_base`.
-struct AsyncShard<'e, P: AsyncProtocol> {
-    me: usize,
-    lo: usize,
-    plan: crate::shard::ShardPlan,
-    net: &'e Network,
-    tables: &'e NodeTables,
-    config: &'e AsyncConfig,
-    protocols: &'e mut [P],
-    outputs: &'e mut [Option<u64>],
-    awake: &'e mut [bool],
-    wake_tick: &'e mut [Option<u64>],
-    sent_by: &'e mut [u64],
-    received_by: &'e mut [u64],
-    channel_next: &'e mut [u64],
-    channel_seq: &'e mut [u64],
-    edge_base: usize,
-    sm: crate::shard::ShardMetrics,
-    obs: crate::obs::ShardObs,
-    send_run: crate::obs::PairRun,
-    batch_run: crate::obs::ValueRun,
-    wheel: &'e mut TimerWheel,
-    arena: &'e mut PayloadArena<P::Msg>,
-    pending: &'e mut Vec<Vec<DeliverEntry>>,
-    touched: &'e mut Vec<u32>,
-    entries_buf: &'e mut Vec<(Port, PayloadRef)>,
-    batch_buf: &'e mut Vec<(Incoming, P::Msg)>,
-    stage: &'e mut [Vec<CrossMsg<P::Msg>>],
-    drain_buf: &'e mut Vec<CrossMsg<P::Msg>>,
-    /// This shard's schedule wakes, `(tick, id)`-sorted.
-    wakes: Vec<(u64, NodeId)>,
-    cursor: usize,
-    delays: Box<dyn DelayStrategy + Send>,
-    /// Current within-tick phase: 0 = schedule wakes, 1 = deliveries.
-    phase: u8,
-    /// Earliest delivery staged since the last publish.
-    staged_min: u64,
-    /// Events processed since the last publish.
-    new_events: u64,
-    /// The tick last processed (the wheel's cursor).
-    prev_tick: u64,
-}
+impl<P: AsyncProtocol, D: DelayStrategy + ?Sized> crate::shard::Worker for AsyncShard<'_, P, D> {
+    type Cross = CrossMsg<P::Msg>;
+    type Progress = AsyncPublished;
 
-impl<P: AsyncProtocol> AsyncShard<'_, P> {
-    /// The worker loop. Each window: meet the coordinator (its read of the
-    /// previous publications happens between the two waits), drain the
-    /// mailboxes filled last window, learn the decided tick, process it,
-    /// stage + publish. Publications and mailbox swaps are always separated
-    /// from their readers by a barrier, so every access is race-free.
-    fn run(
-        &mut self,
-        cells: &crate::shard::Cells<CrossMsg<P::Msg>>,
-        slots: &[std::sync::Mutex<AsyncPublished>],
-        decision: &std::sync::atomic::AtomicU64,
-        barrier: &std::sync::Barrier,
-    ) {
-        self.publish_slot(slots);
-        loop {
-            barrier.wait();
-            self.drain_cells(cells);
-            barrier.wait();
-            let now = decision.load(std::sync::atomic::Ordering::Relaxed);
-            if now == u64::MAX {
-                break;
-            }
-            self.process_tick(now);
-            self.prev_tick = now;
-            self.publish_cells(cells);
-            self.publish_slot(slots);
-        }
-        self.batch_run.flush(&mut self.obs.batch_sizes);
-        self.send_run
-            .flush(&mut self.obs.message_bits, &mut self.obs.delay_ticks);
-        self.obs.timeline.finish();
-        self.obs.arena_high_water = self.arena.high_water() as u64;
+    fn me(&self) -> usize {
+        self.me
     }
 
-    fn publish_slot(&mut self, slots: &[std::sync::Mutex<AsyncPublished>]) {
+    fn stage(&mut self) -> &mut crate::shard::Stage<CrossMsg<P::Msg>> {
+        &mut self.scr.stage
+    }
+
+    /// Moves staged messages into the wheel; same-shard ones keep their
+    /// arena handle, cross-shard ones are re-inserted into this arena.
+    fn ingest(&mut self, batch: &mut Vec<CrossMsg<P::Msg>>) {
+        for m in batch.drain(..) {
+            let msg = match m.payload {
+                crate::shard::CrossPayload::Local(r) => r,
+                crate::shard::CrossPayload::Remote(payload, bits) => {
+                    self.scr.arena.insert_with_bits(payload, bits)
+                }
+            };
+            let entry = DeliverEntry {
+                to: m.to,
+                from: m.from,
+                rport: m.rport,
+                msg,
+            };
+            self.scr.wheel.push(self.prev_tick, m.deliver, entry);
+        }
+    }
+
+    fn process(&mut self, now: u64) {
+        self.process_tick(now);
+        self.prev_tick = now;
+    }
+
+    fn join(a: AsyncPublished, b: AsyncPublished) -> AsyncPublished {
+        AsyncPublished {
+            next_event: a.next_event.min(b.next_event),
+            new_events: a.new_events + b.new_events,
+        }
+    }
+
+    /// The next tick to process is the globally earliest next event, the
+    /// safe horizon under τ-lookahead; `u64::MAX` stops on quiescence or
+    /// the event cap. The cap is checked at tick boundaries only, so a
+    /// truncation point never depends on within-tick processing order or on
+    /// the shard count; undelivered payloads stay in the arenas until the
+    /// next run's `clear`.
+    fn next_window(c: &mut crate::shard::Coord, p: AsyncPublished) -> u64 {
+        c.events += p.new_events;
+        // Runtime diag: a window in which no shard processed anything is a
+        // pure horizon-advance stall (the priming publication comes before
+        // anything has run, so it does not count).
+        if p.new_events == 0 && c.primed && p.next_event != u64::MAX {
+            c.stall_rounds += 1;
+        }
+        c.primed = true;
+        if c.events > c.cap {
+            c.truncated = true;
+            return u64::MAX;
+        }
+        p.next_event
+    }
+
+    /// Resets the per-window counters.
+    fn progress(&mut self) -> AsyncPublished {
         let next_wake = self.wakes.get(self.cursor).map_or(u64::MAX, |&(t, _)| t);
         let wheel_next = self
+            .scr
             .wheel
             .next_occupied_after(self.prev_tick)
             .unwrap_or(u64::MAX);
@@ -1150,253 +963,13 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             self.obs.note_wheel_scan(wheel_next - self.prev_tick);
         }
         self.obs.events += self.new_events;
-        *slots[self.me].lock().unwrap() = AsyncPublished {
+        let published = AsyncPublished {
             next_event: self.staged_min.min(wheel_next).min(next_wake),
             new_events: self.new_events,
         };
         self.staged_min = u64::MAX;
         self.new_events = 0;
-    }
-
-    fn publish_cells(&mut self, cells: &crate::shard::Cells<CrossMsg<P::Msg>>) {
-        for dst in 0..self.plan.k {
-            if dst == self.me {
-                continue;
-            }
-            for phase in 0..crate::shard::PHASES {
-                let buf = &mut self.stage[dst * crate::shard::PHASES + phase];
-                if !buf.is_empty() {
-                    cells.publish(self.me, dst, phase, buf);
-                }
-            }
-        }
-    }
-
-    /// Moves last window's staged messages — own staging buffers for the
-    /// same-shard case, mailbox cells otherwise — into the wheel. Draining
-    /// phase-major then source-shard-major replays the canonical serial
-    /// send order (see the module docs).
-    fn drain_cells(&mut self, cells: &crate::shard::Cells<CrossMsg<P::Msg>>) {
-        for phase in 0..crate::shard::PHASES {
-            for src in 0..self.plan.k {
-                if src == self.me {
-                    let mut buf =
-                        std::mem::take(&mut self.stage[self.me * crate::shard::PHASES + phase]);
-                    self.ingest(&mut buf);
-                    self.stage[self.me * crate::shard::PHASES + phase] = buf;
-                } else {
-                    cells.drain(src, self.me, phase, self.drain_buf);
-                    let mut buf = std::mem::take(&mut *self.drain_buf);
-                    self.ingest(&mut buf);
-                    *self.drain_buf = buf;
-                }
-            }
-        }
-    }
-
-    fn ingest(&mut self, buf: &mut Vec<CrossMsg<P::Msg>>) {
-        for m in buf.drain(..) {
-            let msg = match m.payload {
-                crate::shard::CrossPayload::Local(r) => r,
-                crate::shard::CrossPayload::Remote(payload, bits) => {
-                    self.arena.insert_with_bits(payload, bits)
-                }
-            };
-            self.wheel.push(
-                self.prev_tick,
-                m.deliver,
-                DeliverEntry {
-                    to: m.to,
-                    from: m.from,
-                    rport: m.rport,
-                    msg,
-                },
-            );
-        }
-    }
-
-    /// The serial engine's per-tick body over this shard's nodes: schedule
-    /// wakes ascending, then one delivery batch per receiver ascending.
-    fn process_tick(&mut self, now: u64) {
-        self.phase = 0;
-        while self.cursor < self.wakes.len() && self.wakes[self.cursor].0 == now {
-            let v = self.wakes[self.cursor].1;
-            self.cursor += 1;
-            self.new_events += 1;
-            if !self.awake[v.index() - self.lo] {
-                self.wake_node(v, WakeCause::Adversary, now);
-            }
-        }
-        self.phase = 1;
-        let bucket = self.wheel.take_bucket(now);
-        self.new_events += bucket.len() as u64;
-        self.obs.tl_delivered(now, bucket.len() as u64);
-        let mut touched = std::mem::take(&mut *self.touched);
-        for &e in bucket.iter() {
-            let pend = &mut self.pending[e.to as usize - self.lo];
-            if pend.is_empty() {
-                touched.push(e.to);
-            }
-            pend.push(e);
-        }
-        touched.sort_unstable();
-        let obs_full = self.obs.level == crate::obs::ObsLevel::Full;
-        for (i, &to) in touched.iter().enumerate() {
-            // Warm the next receiver's protocol state and pending row while
-            // this batch's handler runs.
-            if let Some(&nx) = touched.get(i + 1) {
-                crate::prefetch::prefetch_index(self.protocols, nx as usize - self.lo);
-                crate::prefetch::prefetch_index(self.pending, nx as usize - self.lo);
-            }
-            let mut pend = std::mem::take(&mut self.pending[to as usize - self.lo]);
-            if obs_full {
-                self.batch_run
-                    .note(&mut self.obs.batch_sizes, pend.len() as u64);
-            }
-            self.deliver_batch(&pend, now);
-            pend.clear();
-            self.pending[to as usize - self.lo] = pend;
-        }
-        touched.clear();
-        *self.touched = touched;
-        self.wheel.restore_bucket(bucket);
-    }
-
-    fn wake_node(&mut self, v: NodeId, cause: WakeCause, tick: u64) {
-        let li = v.index() - self.lo;
-        self.awake[li] = true;
-        self.sm.awake_count += 1;
-        self.obs.tl_wakes(tick, 1);
-        self.wake_tick[li] = Some(tick);
-        self.sm.first_wake_tick = Some(self.sm.first_wake_tick.map_or(tick, |t| t.min(tick)));
-        let mut entries = std::mem::take(&mut *self.entries_buf);
-        let mut ctx = Context::new(
-            v,
-            self.net.graph().degree(v),
-            self.net.mode(),
-            self.tables.id_to_port(v.index()),
-            &mut entries,
-            self.arena,
-            self.config.channel,
-            self.config.record_congest_violations,
-            &mut self.sm.congest_violations,
-            &mut self.outputs[li],
-            &mut self.obs.phases,
-            tick,
-        );
-        self.protocols[li].on_wake(&mut ctx, cause);
-        self.obs.stamp_new_spans(tick, self.phase, v.index() as u32);
-        self.dispatch_outbox(&mut entries, v, tick);
-        *self.entries_buf = entries;
-    }
-
-    fn deliver_batch(&mut self, entries: &[DeliverEntry], tick: u64) {
-        let to = NodeId::new(entries[0].to as usize);
-        let li = to.index() - self.lo;
-        self.received_by[li] += entries.len() as u64;
-        self.sm.last_receipt_tick = Some(self.sm.last_receipt_tick.map_or(tick, |t| t.max(tick)));
-        if !self.awake[li] {
-            self.obs.note_wake_pred(li, entries[0].from);
-            self.wake_node(to, WakeCause::Message, tick);
-        }
-        let kt1 = self.net.mode() == crate::knowledge::KnowledgeMode::Kt1;
-        let mut batch = std::mem::take(&mut *self.batch_buf);
-        debug_assert!(batch.is_empty());
-        for e in entries {
-            let sender_id = kt1.then(|| self.net.ids().id(NodeId::new(e.from as usize)));
-            batch.push((
-                Incoming {
-                    port: Port::new(e.rport as usize),
-                    sender_id,
-                },
-                self.arena.take(e.msg),
-            ));
-        }
-        let mut inbox = Inbox::new(&mut batch);
-        let mut out_entries = std::mem::take(&mut *self.entries_buf);
-        let mut ctx = Context::new(
-            to,
-            self.net.graph().degree(to),
-            self.net.mode(),
-            self.tables.id_to_port(to.index()),
-            &mut out_entries,
-            self.arena,
-            self.config.channel,
-            self.config.record_congest_violations,
-            &mut self.sm.congest_violations,
-            &mut self.outputs[li],
-            &mut self.obs.phases,
-            tick,
-        );
-        self.protocols[li].on_messages_batch(&mut ctx, &mut inbox);
-        drop(inbox);
-        self.obs
-            .stamp_new_spans(tick, self.phase, to.index() as u32);
-        self.dispatch_outbox(&mut out_entries, to, tick);
-        *self.entries_buf = out_entries;
-        *self.batch_buf = batch;
-    }
-
-    /// The serial `dispatch_outbox`, staging into per-`(shard, phase)`
-    /// buffers instead of pushing the wheel directly. Same-shard sends keep
-    /// their arena handle; cross-shard sends carry the payload itself.
-    fn dispatch_outbox(&mut self, entries: &mut Vec<(Port, PayloadRef)>, from: NodeId, tick: u64) {
-        if entries.is_empty() {
-            return;
-        }
-        let obs_full = self.obs.level == crate::obs::ObsLevel::Full;
-        // Register-resident send sums, one recorder update per outbox — the
-        // same hot-path discipline as the serial `dispatch_outbox`.
-        let (mut tl_sends, mut tl_bits) = (0u64, 0u64);
-        for (port, r) in entries.drain(..) {
-            let slot = self.tables.slot(from, port);
-            let hot = self.tables.edge_hot[slot];
-            let to = hot.to as usize;
-            let bits = self.arena.bits(r);
-            self.sm.messages_sent += 1;
-            self.sm.bits_sent += bits as u64;
-            self.sm.max_message_bits = self.sm.max_message_bits.max(bits);
-            self.sent_by[from.index() - self.lo] += 1;
-            let ls = slot - self.edge_base;
-            let seq = self.channel_seq[ls];
-            let delay = self
-                .delays
-                .delay_ticks(from, NodeId::new(to), tick, seq)
-                .clamp(1, TICKS_PER_UNIT);
-            self.channel_seq[ls] = seq + 1;
-            let deliver = (tick + delay).max(self.channel_next[ls]);
-            self.channel_next[ls] = deliver;
-            if obs_full {
-                self.send_run.note(
-                    &mut self.obs.message_bits,
-                    &mut self.obs.delay_ticks,
-                    bits as u64,
-                    deliver - tick,
-                );
-                tl_sends += 1;
-                tl_bits += bits as u64;
-            }
-            self.obs.sends += 1;
-            let dst = self.plan.shard_of(to);
-            let payload = if dst == self.me {
-                crate::shard::CrossPayload::Local(r)
-            } else {
-                crate::shard::CrossPayload::Remote(self.arena.take(r), bits)
-            };
-            self.staged_min = self.staged_min.min(deliver);
-            self.stage[dst * crate::shard::PHASES + self.phase as usize].push(CrossMsg {
-                deliver,
-                to: hot.to,
-                from: from.index() as u32,
-                rport: hot.rport,
-                payload,
-            });
-        }
-        if obs_full {
-            // Timeline sends are attributed at the origin dispatch tick,
-            // never at the receiving shard's ingest.
-            self.obs.timeline.note_sends(tick, tl_sends, tl_bits);
-        }
+        published
     }
 }
 
@@ -1771,70 +1344,81 @@ mod tests {
         }
     }
 
-    /// Byte-identity of a sharded run against serial, across shard counts
-    /// that divide the nodes evenly, raggedly, and with empty trailing
-    /// shards.
+    /// Runs `P` under `config` on one shard and on each of `shards`, each
+    /// run with a fresh strategy from `delays`, asserting that every count
+    /// reproduces the one-shard run byte for byte — digest, metrics, flags,
+    /// event count and both obs serializations; returns the reports,
+    /// one-shard first.
+    fn shard_runs<P: AsyncProtocol, D: DelayStrategy>(
+        net: &Network,
+        schedule: &WakeSchedule,
+        config: &AsyncConfig,
+        delays: impl Fn() -> D,
+        shards: &[usize],
+    ) -> Vec<RunReport> {
+        let reports: Vec<RunReport> = std::iter::once(&1)
+            .chain(shards)
+            .map(|&shards| {
+                let config = AsyncConfig {
+                    shards,
+                    ..config.clone()
+                };
+                AsyncEngine::<P>::new(net, config).run_with(schedule, &mut delays())
+            })
+            .collect();
+        let one = &reports[0];
+        assert_eq!(one.obs.runtime.shards, 1);
+        for (r, k) in reports[1..].iter().zip(shards) {
+            assert_eq!(
+                crate::RunDigest::of(one),
+                crate::RunDigest::of(r),
+                "shards={k}"
+            );
+            assert_eq!(one.metrics, r.metrics, "shards={k}");
+            let flags = |r: &RunReport| (r.all_awake, r.truncated, r.obs.events);
+            assert_eq!(flags(one), flags(r), "shards={k}");
+            let (a, b) = (crate::ObsSnapshot::of(one), crate::ObsSnapshot::of(r));
+            assert_eq!(a.to_json(), b.to_json(), "shards={k}");
+            assert_eq!(a.to_prometheus(), b.to_prometheus(), "shards={k}");
+        }
+        reports
+    }
+
+    /// Byte-identity of multi-shard runs against one shard, across shard
+    /// counts that divide the nodes evenly, raggedly, and with empty
+    /// trailing shards.
     #[test]
     fn sharded_run_is_byte_identical_to_serial() {
         let net = Network::kt0(generators::erdos_renyi_connected(37, 0.15, 11).unwrap(), 11);
         let all: Vec<NodeId> = (0..37).map(NodeId::new).collect();
         let schedule = WakeSchedule::staggered(&all, 1.5);
-        let run = |shards: usize| {
-            let config = AsyncConfig {
-                shards,
-                ..AsyncConfig::default()
-            };
-            let mut delays = AdversarialDelay::new(7);
-            AsyncEngine::<Flood>::new(&net, config).run_with(&schedule, &mut delays)
-        };
-        let serial = run(1);
-        for shards in [2, 3, 4, 64] {
-            let sharded = run(shards);
-            assert_eq!(serial.metrics, sharded.metrics, "shards={shards}");
-            assert_eq!(serial.all_awake, sharded.all_awake);
-            assert_eq!(serial.outputs, sharded.outputs);
-            assert_eq!(serial.truncated, sharded.truncated);
-            let a = crate::obs::ObsSnapshot::of(&serial);
-            let b = crate::obs::ObsSnapshot::of(&sharded);
-            assert_eq!(a.to_json(), b.to_json(), "shards={shards}");
-            assert_eq!(a.to_prometheus(), b.to_prometheus(), "shards={shards}");
-        }
+        let config = AsyncConfig::default();
+        let delays = || AdversarialDelay::new(7);
+        shard_runs::<Flood, _>(&net, &schedule, &config, delays, &[2, 3, 4, 64]);
     }
 
-    /// An unforkable (history-dependent) delay strategy silently falls back
-    /// to the serial path — and the output is identical either way.
+    /// An unforkable (history-dependent) delay strategy runs on one shard —
+    /// with the same output.
     #[test]
     fn random_delays_fall_back_to_serial_under_sharding() {
         let net = Network::kt0(generators::erdos_renyi_connected(20, 0.2, 3).unwrap(), 3);
         let schedule = WakeSchedule::single(NodeId::new(0));
-        let run = |shards: usize| {
-            let config = AsyncConfig {
-                shards,
-                ..AsyncConfig::default()
-            };
-            let mut delays = RandomDelay::new(99);
-            AsyncEngine::<Flood>::new(&net, config).run_with(&schedule, &mut delays)
-        };
-        let (serial, sharded) = (run(1), run(4));
-        assert_eq!(serial.metrics, sharded.metrics);
+        let config = AsyncConfig::default();
+        let runs = shard_runs::<Flood, _>(&net, &schedule, &config, || RandomDelay::new(99), &[4]);
+        assert_eq!(runs[1].obs.runtime.shards, 1);
     }
 
     /// The event cap truncates at the same boundary at any shard count.
     #[test]
     fn event_cap_truncation_is_shard_invariant() {
         let net = Network::kt0(generators::path(4).unwrap(), 0);
-        let run = |shards: usize| {
-            let config = AsyncConfig {
-                max_events: 100,
-                shards,
-                ..AsyncConfig::default()
-            };
-            AsyncEngine::<PingPong>::new(&net, config).run(&WakeSchedule::single(NodeId::new(0)))
+        let schedule = WakeSchedule::single(NodeId::new(0));
+        let config = AsyncConfig {
+            max_events: 100,
+            ..AsyncConfig::default()
         };
-        let (serial, sharded) = (run(1), run(2));
-        assert!(serial.truncated && sharded.truncated);
-        assert_eq!(serial.metrics, sharded.metrics);
-        assert_eq!(serial.obs.events, sharded.obs.events);
+        let runs = shard_runs::<PingPong, _>(&net, &schedule, &config, || UnitDelay, &[2]);
+        assert!(runs[1].truncated);
     }
 
     /// Exercises every per-node output surface a sharded run must merge:
@@ -1866,35 +1450,54 @@ mod tests {
         }
     }
 
-    /// A sharded run of a phase-labelling workload under adversarial
-    /// delays is byte-identical to the serial run — metrics, outputs, and
-    /// both observability serializations (whose span table depends on the
-    /// cross-shard first-actor merge).
+    /// A multi-shard run of a phase-labelling workload under adversarial
+    /// delays is byte-identical to the one-shard run, including the span
+    /// table, which depends on the cross-shard first-actor merge.
     #[test]
     fn phased_flood_is_byte_identical_across_shard_counts() {
         let g = generators::erdos_renyi_connected(41, 0.12, 13).unwrap();
         let net = Network::kt0(g, 5);
         let all: Vec<NodeId> = (0..41).map(NodeId::new).collect();
         let schedule = WakeSchedule::staggered(&all, 1.7);
-        let run = |shards: usize| {
-            let config = AsyncConfig {
-                shards,
+        let config = AsyncConfig::default();
+        let delays = || AdversarialDelay::new(23);
+        shard_runs::<PhasedFlood, _>(&net, &schedule, &config, delays, &[2, 3]);
+    }
+
+    /// The shard-count rule on a 4-shard request: an audit log, port
+    /// tracking or an unforkable delay strategy runs on one shard, a
+    /// forkable strategy on all four.
+    #[test]
+    fn shard_count_falls_back_to_one_shard_exactly_when_required() {
+        let net = Network::kt0(generators::erdos_renyi_connected(80, 0.08, 5).unwrap(), 5);
+        let schedule = WakeSchedule::single(NodeId::new(0));
+        let four = |config: &AsyncConfig, random: bool| {
+            let mut runs = if random {
+                shard_runs::<Flood, _>(&net, &schedule, config, || RandomDelay::new(9), &[4])
+            } else {
+                shard_runs::<Flood, _>(&net, &schedule, config, || AdversarialDelay::new(9), &[4])
+            };
+            runs.pop().unwrap()
+        };
+        let plain = AsyncConfig::default();
+        assert_eq!(four(&plain, false).obs.runtime.shards, 4);
+        assert_eq!(four(&plain, true).obs.runtime.shards, 1);
+        let tracked = AsyncConfig {
+            track_ports: true,
+            ..AsyncConfig::default()
+        };
+        let report = four(&tracked, false);
+        assert_eq!(report.obs.runtime.shards, 1);
+        assert!(report.metrics.ports_used.is_some());
+        #[cfg(feature = "audit")]
+        {
+            let audited = AsyncConfig {
+                audit_capacity: Some(1 << 16),
                 ..AsyncConfig::default()
             };
-            let mut delays = AdversarialDelay::new(23);
-            AsyncEngine::<PhasedFlood>::new(&net, config).run_with(&schedule, &mut delays)
-        };
-        let a = run(1);
-        for shards in [2, 3] {
-            let b = run(shards);
-            assert_eq!(a.metrics, b.metrics, "shards={shards}");
-            assert_eq!(a.outputs, b.outputs, "shards={shards}");
-            assert_eq!(a.all_awake, b.all_awake);
-            assert_eq!(a.truncated, b.truncated);
-            let sa = crate::obs::ObsSnapshot::of(&a);
-            let sb = crate::obs::ObsSnapshot::of(&b);
-            assert_eq!(sa.to_json(), sb.to_json(), "shards={shards}");
-            assert_eq!(sa.to_prometheus(), sb.to_prometheus(), "shards={shards}");
+            let report = four(&audited, false);
+            assert_eq!(report.obs.runtime.shards, 1);
+            assert!(report.audit_log.is_some_and(|log| !log.is_empty()));
         }
     }
 

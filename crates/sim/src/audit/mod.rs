@@ -186,6 +186,27 @@ impl AuditLog {
         self.events.push(event);
     }
 
+    /// Records `node`'s wake and, when the run carries advice, the advice
+    /// read it implies: a node consults its advice exactly when it wakes,
+    /// and the length recorded here is what the advice-accounting invariant
+    /// checks against the oracle's assignment.
+    pub(crate) fn record_wake(
+        &mut self,
+        tick: u64,
+        node: u32,
+        cause: WakeCause,
+        advice: Option<&[BitStr]>,
+    ) {
+        self.record(AuditEvent::Wake { tick, node, cause });
+        if let Some(advice) = advice {
+            self.record(AuditEvent::AdviceRead {
+                tick,
+                node,
+                bits: advice[node as usize].len() as u32,
+            });
+        }
+    }
+
     /// All recorded events; the slice index is the logical timestamp.
     pub fn events(&self) -> &[AuditEvent] {
         &self.events

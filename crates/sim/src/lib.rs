@@ -100,5 +100,5 @@ pub use obs::{
 pub use protocol::{
     AsyncProtocol, Context, Inbox, Incoming, NodeInit, ScopedBuf, SyncProtocol, WakeCause,
 };
-pub use shard::{shards_from_env, threads_from_env};
+pub use shard::{shards_from_env, threads_from_env, MAX_SHARDS};
 pub use sync_engine::{SyncConfig, SyncEngine};

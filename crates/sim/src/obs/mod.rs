@@ -402,12 +402,14 @@ pub struct CriticalPath {
 /// as tolerance-class fields.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuntimeCounters {
-    /// Executor shards the run actually used (1 = serial path).
+    /// Worker shards the run actually used (1 = the serial run; see
+    /// [`crate::AsyncConfig::shards`] for when a request falls back to 1).
     pub shards: u32,
-    /// Events processed per shard, ascending shard index (empty on the
-    /// serial path — `Obs::events` already carries the total).
+    /// Events processed per shard, ascending shard index (one entry on a
+    /// one-shard run, equal to `Obs::events`).
     pub shard_events: Vec<u64>,
-    /// Messages dispatched per shard, ascending shard index (empty serial).
+    /// Messages dispatched per shard, ascending shard index (one entry on a
+    /// one-shard run).
     pub shard_sends: Vec<u64>,
     /// Largest timer-wheel forward scan (ticks skipped in one
     /// `next_occupied_after` advance), max across shards.
@@ -416,8 +418,11 @@ pub struct RuntimeCounters {
     pub arena_high_water: u64,
     /// Delivery batches handed to prefetched handler runs.
     pub prefetch_batches: u64,
-    /// Coordinator barrier rounds in which no shard processed any event
-    /// (pure horizon-advance stalls; 0 on the serial path).
+    /// Windows the coordinator advanced without progress: for the async
+    /// engine, windows in which no shard processed any event (pure
+    /// horizon-advance stalls; 0 on a one-shard run); for the sync engine,
+    /// rounds entered with no traffic to deliver (only pending wakes or
+    /// timer-driven nodes), at any shard count.
     pub stall_rounds: u64,
     /// Always `false`: the engines execute in identity node order. Kept so
     /// existing readers of the diag export (and its `relabel_applied` key)
@@ -475,61 +480,6 @@ impl Obs {
     /// The recording level this accumulator was created with.
     pub fn level(&self) -> ObsLevel {
         self.level
-    }
-
-    /// One delivery batch of `len` messages handed to a node.
-    #[inline(always)]
-    pub(crate) fn on_batch(&mut self, len: usize) {
-        if self.level == ObsLevel::Full {
-            self.batch_sizes.record(len as u64);
-        }
-    }
-
-    /// Per-message send accounting (payload bits, scheduled delay in ticks)
-    /// plus timeline attribution at the origin's dispatch `tick` — one
-    /// combined level check for call sites that don't keep an `obs_full`
-    /// local.
-    #[inline(always)]
-    pub(crate) fn on_send_at(&mut self, tick: u64, bits: u64, delay_ticks: u64) {
-        if self.level == ObsLevel::Full {
-            self.message_bits.record(bits);
-            self.delay_ticks.record(delay_ticks);
-            self.timeline.note_send(tick, bits);
-        }
-    }
-
-    /// Timeline: `count` messages delivered at `tick` (level-gated).
-    #[inline(always)]
-    pub(crate) fn tl_delivered(&mut self, tick: u64, count: u64) {
-        if self.level == ObsLevel::Full {
-            self.timeline.note_delivered(tick, count);
-        }
-    }
-
-    /// Timeline: `count` nodes woke at `tick` (level-gated).
-    #[inline(always)]
-    pub(crate) fn tl_wakes(&mut self, tick: u64, count: u64) {
-        if self.level == ObsLevel::Full {
-            self.timeline.note_wakes(tick, count);
-        }
-    }
-
-    /// Notes the delivery that may wake `node` (first writer wins; ignored
-    /// once a predecessor is set or at [`ObsLevel::Counters`]). The waking
-    /// tick is not taken — it is the node's [`Metrics::wake_tick`].
-    #[inline]
-    pub(crate) fn note_wake_pred(&mut self, node: usize, pred: u32) {
-        if self.level == ObsLevel::Full && self.wake_pred[node] == NO_PRED {
-            self.wake_pred[node] = pred;
-        }
-    }
-
-    /// Clears a provisional predecessor — the sync engine notes candidates
-    /// while draining traffic, then erases them for nodes the adversary woke
-    /// in the same round (adversary wakes take precedence).
-    #[inline]
-    pub(crate) fn clear_wake_pred(&mut self, node: usize) {
-        self.wake_pred[node] = NO_PRED;
     }
 
     /// Per-node wake latency (ticks past the first adversary wake), built on
@@ -619,16 +569,16 @@ impl Obs {
     }
 }
 
-/// Canonical position of a phase label's first enter inside a sharded run:
+/// Canonical position of a phase label's first enter inside a run:
 /// `(tick, engine phase, actor, shard-local span index)`. Shard-local
 /// processing order is exactly `(tick, phase, actor)`-ascending over owned
-/// actors, so sorting merged labels by this key reconstructs the serial
-/// engine's first-entered order (the trailing index breaks ties between
+/// actors, so sorting merged labels by this key reconstructs the one-shard
+/// run's first-entered order (the trailing index breaks ties between
 /// several labels first entered by the *same* handler invocation).
 pub(crate) type SpanKey = (u64, u8, u32, u32);
 
-/// Per-shard observability accumulator for the engines' intra-run sharded
-/// paths: the three recorded histograms, phase spans with their canonical
+/// Per-shard observability accumulator, one per engine worker: the three
+/// recorded histograms, phase spans with their canonical
 /// [`SpanKey`]s, and the shard-owned slice of the wake-predecessor array.
 /// Merged into one [`Obs`] by [`merge_shard_obs`].
 pub(crate) struct ShardObs {
@@ -671,7 +621,10 @@ impl ShardObs {
         }
     }
 
-    /// As [`Obs::note_wake_pred`], indexed by the shard-local node offset.
+    /// Notes the delivery that may wake the shard-local node `local` (first
+    /// writer wins; ignored once a predecessor is set or at
+    /// [`ObsLevel::Counters`]). The waking tick is not taken — it is the
+    /// node's [`Metrics::wake_tick`].
     #[inline]
     pub(crate) fn note_wake_pred(&mut self, local: usize, pred: u32) {
         if self.level == ObsLevel::Full && self.wake_pred[local] == NO_PRED {
@@ -679,7 +632,9 @@ impl ShardObs {
         }
     }
 
-    /// As [`Obs::clear_wake_pred`], indexed by the shard-local node offset.
+    /// Clears a provisional predecessor — the sync engine notes candidates
+    /// while draining traffic, then erases them for nodes the adversary woke
+    /// in the same round (adversary wakes take precedence).
     #[inline]
     pub(crate) fn clear_wake_pred(&mut self, local: usize) {
         self.wake_pred[local] = NO_PRED;
@@ -743,18 +698,27 @@ impl ShardObs {
 }
 
 /// Merges per-shard observers (ascending shard order, covering node ranges
-/// `[0, n)` contiguously) into the [`Obs`] the equivalent serial run would
-/// have produced — byte-identical snapshots included. Histograms merge
-/// bucket-wise; wake predecessors concatenate; phase spans merge per label
-/// and are re-ordered by their canonical minimal [`SpanKey`], recovering the
-/// serial first-entered order.
-pub(crate) fn merge_shard_obs(n: usize, level: ObsLevel, shards: &[ShardObs]) -> Obs {
+/// `[0, n)` contiguously) into the run's [`Obs`] — byte-identical snapshots
+/// at any shard count. Histograms merge bucket-wise; wake predecessors
+/// concatenate (a lone shard's array moves over as is); phase spans merge
+/// per label and are re-ordered by their canonical minimal [`SpanKey`],
+/// recovering the one-shard first-entered order.
+pub(crate) fn merge_shard_obs(n: usize, level: ObsLevel, mut shards: Vec<ShardObs>) -> Obs {
     let windows = shards.first().map(|s| s.timeline.cfg()).unwrap_or_default();
-    let mut obs = Obs::with_windows(n, level, windows);
+    let mut obs = Obs::with_windows(0, level, windows);
     obs.runtime.shards = shards.len() as u32;
+    if let [only] = shards.as_mut_slice() {
+        // One shard's spans are already in first-entered order.
+        obs.wake_pred = std::mem::take(&mut only.wake_pred);
+        obs.phases = std::mem::take(&mut only.phases);
+    } else {
+        obs.wake_pred.reserve_exact(n);
+        for sh in &shards {
+            obs.wake_pred.extend_from_slice(&sh.wake_pred);
+        }
+    }
     let mut merged: Vec<(SpanKey, PhaseSpan)> = Vec::new();
-    let mut off = 0usize;
-    for sh in shards {
+    for sh in &shards {
         obs.delay_ticks.merge(&sh.delay_ticks);
         obs.batch_sizes.merge(&sh.batch_sizes);
         obs.message_bits.merge(&sh.message_bits);
@@ -763,8 +727,6 @@ pub(crate) fn merge_shard_obs(n: usize, level: ObsLevel, shards: &[ShardObs]) ->
         obs.runtime.shard_sends.push(sh.sends);
         obs.runtime.wheel_max_scan = obs.runtime.wheel_max_scan.max(sh.wheel_max_scan);
         obs.runtime.arena_high_water += sh.arena_high_water;
-        obs.wake_pred[off..off + sh.wake_pred.len()].copy_from_slice(&sh.wake_pred);
-        off += sh.wake_pred.len();
         for (i, s) in sh.phases.spans().iter().enumerate() {
             let key = sh.span_keys[i];
             match merged
@@ -783,11 +745,17 @@ pub(crate) fn merge_shard_obs(n: usize, level: ObsLevel, shards: &[ShardObs]) ->
             }
         }
     }
-    debug_assert_eq!(off, n, "shard observers must cover all nodes");
-    merged.sort_by_key(|&(k, _)| k);
-    obs.phases = PhaseSpans {
-        spans: merged.into_iter().map(|(_, s)| s).collect(),
-    };
+    debug_assert_eq!(
+        obs.wake_pred.len(),
+        n,
+        "shard observers must cover all nodes"
+    );
+    if shards.len() > 1 {
+        merged.sort_by_key(|&(k, _)| k);
+        obs.phases = PhaseSpans {
+            spans: merged.into_iter().map(|(_, s)| s).collect(),
+        };
+    }
     obs
 }
 
@@ -891,9 +859,10 @@ mod tests {
             Some(5 * TICKS_PER_UNIT),
         ];
         m.first_wake_tick = Some(0);
-        let mut obs = Obs::new(4, ObsLevel::Full);
-        obs.note_wake_pred(1, 0);
-        obs.note_wake_pred(2, 1);
+        let mut sh = ShardObs::new(4, ObsLevel::Full, WindowCfg::default());
+        sh.note_wake_pred(1, 0);
+        sh.note_wake_pred(2, 1);
+        let obs = merge_shard_obs(4, ObsLevel::Full, vec![sh]);
         let cp = obs.critical_path(&m);
         assert_eq!(cp.hops, 2);
         assert_eq!(cp.tau, 2.0);
@@ -907,24 +876,29 @@ mod tests {
 
     #[test]
     fn counters_level_skips_recording() {
-        let mut obs = Obs::new(2, ObsLevel::Counters);
-        obs.on_send_at(0, 32, 1024);
-        obs.on_batch(3);
-        obs.note_wake_pred(1, 0);
+        let mut sh = ShardObs::new(2, ObsLevel::Counters, WindowCfg::default());
+        sh.on_send_at(0, 32, 1024);
+        sh.on_batch(3);
+        sh.note_wake_pred(1, 0);
+        let obs = merge_shard_obs(2, ObsLevel::Counters, vec![sh]);
         assert!(obs.delay_ticks.is_empty());
         assert!(obs.batch_sizes.is_empty());
         assert!(obs.message_bits.is_empty());
         assert_eq!(obs.wake_pred(NodeId::new(1)), None);
+        // The send still counts toward the runtime diag.
+        assert_eq!(obs.runtime.shard_sends, vec![1]);
     }
 
     #[test]
     fn first_wake_pred_wins() {
-        let mut obs = Obs::new(3, ObsLevel::Full);
-        obs.note_wake_pred(1, 0);
-        obs.note_wake_pred(1, 2);
+        let mut sh = ShardObs::new(3, ObsLevel::Full, WindowCfg::default());
+        sh.note_wake_pred(1, 0);
+        sh.note_wake_pred(1, 2);
+        sh.note_wake_pred(2, 0);
+        sh.clear_wake_pred(2);
+        let obs = merge_shard_obs(3, ObsLevel::Full, vec![sh]);
         assert_eq!(obs.wake_pred(NodeId::new(1)), Some(NodeId::new(0)));
-        obs.clear_wake_pred(1);
-        assert_eq!(obs.wake_pred(NodeId::new(1)), None);
+        assert_eq!(obs.wake_pred(NodeId::new(2)), None);
     }
 
     #[test]

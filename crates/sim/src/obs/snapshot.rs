@@ -578,8 +578,8 @@ mod tests {
         // windowed assertions below stay exact.
         obs.message_bits.record(32);
         obs.delay_ticks.record(TICKS_PER_UNIT);
-        obs.on_batch(1);
-        obs.note_wake_pred(1, 0);
+        obs.batch_sizes.record(1);
+        obs.wake_pred[1] = 0;
         obs.events = 5;
         RunReport {
             all_awake: true,

@@ -4,8 +4,8 @@
 //! deliveries, and node wakes — into tick windows chosen by a pure
 //! [`WindowCfg::window_of`] function of the *logical* tick. Because window
 //! assignment depends only on ticks (never on wall clock, thread, or shard),
-//! per-shard timelines merge by elementwise addition into exactly the serial
-//! run's timeline, and the schema-4 snapshot bytes survive the CI
+//! per-shard timelines merge by elementwise addition into exactly the
+//! one-shard run's timeline, and the schema-4 snapshot bytes survive the CI
 //! 1-vs-4-shard and 1-vs-4-thread diffs like every other obs field.
 //!
 //! # Hot-path discipline
@@ -106,8 +106,8 @@ impl WindowDelta {
     }
 }
 
-/// The windowed recorder (see the module docs). One per serial run, one per
-/// shard in sharded runs; merged by [`Timeline::merge`].
+/// The windowed recorder (see the module docs). One per worker shard;
+/// merged by [`Timeline::merge`].
 #[derive(Debug, Clone)]
 pub struct Timeline {
     cfg: WindowCfg,

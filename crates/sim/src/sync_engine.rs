@@ -41,12 +41,14 @@ pub struct SyncConfig {
     /// event capacity (`None` = off).
     #[cfg(feature = "audit")]
     pub audit_capacity: Option<usize>,
-    /// Number of intra-run worker shards (default 1 = serial). With `K > 1`
-    /// the per-round deliver/step loop is parallelized over `K` contiguous
-    /// node ranges under the round barrier; output is byte-identical to the
-    /// serial run at any shard count. Runs that record audit logs or track
-    /// ports fall back to the serial path silently (the output is
-    /// the same either way).
+    /// Number of intra-run worker shards (default 1), clamped to the node
+    /// count and to [`crate::MAX_SHARDS`]. One shard is the serial run,
+    /// driven by the calling thread. With `K > 1` the per-round
+    /// deliver/step body runs over `K` contiguous node ranges on `K`
+    /// threads under the round barrier; output is byte-identical at any
+    /// shard count. Runs that record an audit log or track ports always run
+    /// on one shard ([`crate::RuntimeCounters::shards`] reports the count
+    /// used).
     pub shards: usize,
 }
 
@@ -81,55 +83,27 @@ pub struct SyncEngine<'n, P: SyncProtocol> {
     tables: Arc<NodeTables>,
     config: SyncConfig,
     protocols: Vec<P>,
-    scratch: SyncScratch<P::Msg>,
+    /// Per node: this round's delivered messages, already materialized
+    /// (capacity persists across rounds and runs). Each worker borrows its
+    /// own node range of this and of `wake_queued`.
+    inboxes: Vec<Vec<(Incoming, P::Msg)>>,
+    wake_queued: Vec<bool>,
+    /// One worker's run-to-run buffers per shard (see the async engine's
+    /// `scratch`); rebuilt only when the shard count changes.
+    scratch: Vec<SyncShardScratch<P::Msg>>,
 }
 
-/// Run-to-run reusable buffers (see `AsyncScratch` in the async engine):
-/// the payload arena, receiver inboxes, the touched/newly-awake lists, the
-/// handler outbox, the send queue, and the in-flight message queue.
-struct SyncScratch<M> {
+/// Run-to-run reusable buffers of one worker shard.
+struct SyncShardScratch<M> {
     /// Payloads of queued and in-flight messages; entries everywhere else
     /// are small [`PayloadRef`] handles into this arena.
     arena: PayloadArena<M>,
-    in_flight: Vec<InFlight>,
-    /// Per node: this round's delivered messages, already materialized
-    /// (capacity persists across rounds and runs).
-    inboxes: Vec<Vec<(Incoming, M)>>,
-    touched: Vec<usize>,
-    newly_awake: Vec<(NodeId, WakeCause)>,
-    wake_queued: Vec<bool>,
-    entries_buf: Vec<(Port, PayloadRef)>,
-    /// The round's send queue: `(sender, port, payload)`, wake-handler
-    /// sends before step sends.
-    outbox_all: Vec<(NodeId, Port, PayloadRef)>,
-    /// Per-shard state for sharded runs; empty until the first `shards > 1`
-    /// run, rebuilt only when the shard count changes.
-    shards: Vec<SyncShardScratch<M>>,
-}
-
-struct InFlight {
-    to: NodeId,
-    /// The sender's node index.
-    from: u32,
-    /// Receiver-side port (the paper's `port_to(to, from)`), resolved from
-    /// the directed-edge index at send time so delivery does no lookups.
-    rport: Port,
-    msg: PayloadRef,
-}
-
-/// Run-to-run reusable per-shard buffers for the sharded sync path.
-struct SyncShardScratch<M> {
-    arena: PayloadArena<M>,
-    /// Messages collected at the round boundary, pending delivery to this
-    /// shard's inboxes (the per-shard slice of the serial `in_flight`).
+    /// Messages pending delivery to this shard's inboxes next round.
     inflight: Vec<SyncCross<M>>,
     touched: Vec<usize>,
     newly_awake: Vec<(NodeId, WakeCause)>,
     entries_buf: Vec<(Port, PayloadRef)>,
-    /// Staged outbound messages, one buffer per `(destination shard, phase)`.
-    stage: Vec<Vec<SyncCross<M>>>,
-    /// Scratch a mailbox cell is swapped into while draining.
-    drain_buf: Vec<SyncCross<M>>,
+    stage: crate::shard::Stage<SyncCross<M>>,
 }
 
 impl<M> SyncShardScratch<M> {
@@ -140,25 +114,26 @@ impl<M> SyncShardScratch<M> {
             touched: Vec::new(),
             newly_awake: Vec::new(),
             entries_buf: Vec::new(),
-            stage: (0..k * crate::shard::PHASES).map(|_| Vec::new()).collect(),
-            drain_buf: Vec::new(),
+            stage: crate::shard::Stage::new(k),
         }
     }
 }
 
-/// A message staged for next-round delivery across the window boundary.
+/// A message queued for next-round delivery.
 struct SyncCross<M> {
     to: u32,
     from: u32,
+    /// Receiver-side port (the paper's `port_to(to, from)`), resolved from
+    /// the directed-edge index at send time so delivery does no lookups.
     rport: u32,
     payload: crate::shard::CrossPayload<M>,
 }
 
-/// What each shard publishes at a round boundary for the coordinator's
+/// What a worker publishes at a round boundary for the coordinator's
 /// quiescence/cap decision.
 #[derive(Clone, Copy, Default)]
 struct SyncPublished {
-    /// Messages staged in the round just finished.
+    /// Messages sent in the round just finished.
     staged: u64,
     /// Whether any awake owned node wants another round.
     wants: bool,
@@ -204,17 +179,9 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             tables,
             config,
             protocols,
-            scratch: SyncScratch {
-                arena: PayloadArena::default(),
-                in_flight: Vec::new(),
-                inboxes: (0..n).map(|_| Vec::new()).collect(),
-                touched: Vec::new(),
-                newly_awake: Vec::new(),
-                wake_queued: vec![false; n],
-                entries_buf: Vec::new(),
-                outbox_all: Vec::new(),
-                shards: Vec::new(),
-            },
+            inboxes: (0..n).map(|_| Vec::new()).collect(),
+            wake_queued: vec![false; n],
+            scratch: Vec::new(),
         }
     }
 
@@ -255,307 +222,17 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
     /// Executes one run without consuming the engine, so a trial loop can
     /// [`SyncEngine::reset`] and go again over the same topology.
     pub fn run_mut(&mut self, schedule: &WakeSchedule) -> RunReport {
-        if self.sharded_eligible() {
-            return self.run_sharded(schedule);
-        }
-        let n = self.net.n();
-        let mut metrics = Metrics::new(n);
-        let mut obs = crate::obs::Obs::with_windows(n, self.config.obs, self.config.obs_windows);
-        let mut outputs: Vec<Option<u64>> = vec![None; n];
-        let mut awake = vec![false; n];
-        let mut awake_count = 0usize;
-        let mut ports_touched = if self.config.track_ports {
-            DenseBits::new(self.tables.directed_edges())
-        } else {
-            DenseBits::default()
-        };
-        // Adversary wakes grouped by round.
-        let mut pending_wakes: Vec<(u64, NodeId)> = schedule
-            .entries()
-            .iter()
-            .map(|&(tick, v)| (tick / TICKS_PER_UNIT, v))
-            .collect();
-        pending_wakes.sort_unstable();
-        let mut wake_cursor = 0usize;
         #[cfg(feature = "audit")]
-        let mut audit_log = self
-            .config
-            .audit_capacity
-            .map(crate::audit::AuditLog::with_capacity);
-        // Persistent per-round buffers from the engine scratch, allocated
-        // once and reused across rounds *and* across runs: the payload
-        // arena, receiver inboxes (with the list of receivers touched this
-        // round), the wake list, a dedup scratch, the handler outbox, the
-        // send queue, and the in-flight queue. A truncated previous run may
-        // have left residue; clear defensively (no-ops after a quiescent
-        // run).
-        let SyncScratch {
-            arena,
-            in_flight,
-            inboxes,
-            touched,
-            newly_awake,
-            wake_queued,
-            entries_buf,
-            outbox_all,
-            shards: _,
-        } = &mut self.scratch;
-        in_flight.clear();
-        for inbox in inboxes.iter_mut() {
-            inbox.clear();
-        }
-        arena.clear();
-        touched.clear();
-        newly_awake.clear();
-        wake_queued.iter_mut().for_each(|q| *q = false);
-        entries_buf.clear();
-        outbox_all.clear();
-        let mut truncated = false;
-        let mut round = 0u64;
-        loop {
-            if round >= self.config.max_rounds {
-                truncated = true;
-                break;
-            }
-            let traffic = !in_flight.is_empty();
-            let wakes_pending = wake_cursor < pending_wakes.len();
-            let wants: bool = self
-                .protocols
-                .iter()
-                .enumerate()
-                .any(|(v, p)| awake[v] && p.wants_round());
-            if !traffic && !wakes_pending && !wants {
-                break;
-            }
-            // A round entered with no traffic (only pending wakes or
-            // timer-driven nodes) delivers nothing — the sync analog of the
-            // async executor's horizon stall.
-            if !traffic {
-                obs.runtime.stall_rounds += 1;
-            }
-            // Deliver round r-1 traffic: group per receiver, stable order.
-            // All deliveries of a round share one tick, so the last-receipt
-            // watermark moves once per round, not once per message.
-            let tick = round * TICKS_PER_UNIT;
-            if traffic {
-                metrics.last_receipt_tick =
-                    Some(metrics.last_receipt_tick.map_or(tick, |t| t.max(tick)));
-            }
-            obs.events += in_flight.len() as u64;
-            obs.tl_delivered(tick, in_flight.len() as u64);
-            for m in in_flight.drain(..) {
-                metrics.received_by[m.to.index()] += 1;
-                // Recorded before any wake of this round, so wake causality
-                // streams in order (the whole in-flight queue drains first).
-                #[cfg(feature = "audit")]
-                if let Some(log) = audit_log.as_mut() {
-                    log.record(crate::audit::AuditEvent::Deliver {
-                        tick,
-                        from: m.from,
-                        to: m.to.index() as u32,
-                        slot: m.msg.slot(),
-                        gen: m.msg.generation(),
-                    });
-                }
-                if self.config.track_ports {
-                    ports_touched.set(self.tables.slot(m.to, m.rport));
-                }
-                let sender_id = match self.net.mode() {
-                    crate::knowledge::KnowledgeMode::Kt1 => {
-                        Some(self.net.ids().id(NodeId::new(m.from as usize)))
-                    }
-                    crate::knowledge::KnowledgeMode::Kt0 => None,
-                };
-                if inboxes[m.to.index()].is_empty() {
-                    touched.push(m.to.index());
-                }
-                if !awake[m.to.index()] {
-                    // Provisional causal predecessor: the round's first
-                    // delivery to a sleeping node (erased below if the
-                    // adversary wakes it this round instead).
-                    obs.note_wake_pred(m.to.index(), m.from);
-                }
-                inboxes[m.to.index()].push((
-                    Incoming {
-                        port: m.rport,
-                        sender_id,
-                    },
-                    arena.take(m.msg),
-                ));
-            }
-            // Round-r adversary wakes take precedence over message wakes.
-            while wake_cursor < pending_wakes.len() && pending_wakes[wake_cursor].0 <= round {
-                let v = pending_wakes[wake_cursor].1;
-                wake_cursor += 1;
-                if !awake[v.index()] && !wake_queued[v.index()] {
-                    wake_queued[v.index()] = true;
-                    newly_awake.push((v, WakeCause::Adversary));
-                }
-            }
-            // Message receipt wakes.
-            for &v in touched.iter() {
-                if !awake[v] && !wake_queued[v] {
-                    wake_queued[v] = true;
-                    newly_awake.push((NodeId::new(v), WakeCause::Message));
-                }
-            }
-            newly_awake.sort_unstable_by_key(|&(v, _)| v);
-            obs.events += newly_awake.len() as u64;
-            obs.tl_wakes(tick, newly_awake.len() as u64);
-            for &(v, cause) in newly_awake.iter() {
-                if cause == WakeCause::Adversary {
-                    // Adversary wakes take precedence over message wakes in
-                    // the same round: the node is a root of the causal
-                    // forest, not a successor.
-                    obs.clear_wake_pred(v.index());
-                }
-                #[cfg(feature = "audit")]
-                if let Some(log) = audit_log.as_mut() {
-                    log.record(crate::audit::AuditEvent::Wake {
-                        tick,
-                        node: v.index() as u32,
-                        cause,
-                    });
-                    if let Some(advice) = self.config.advice.as_deref() {
-                        log.record(crate::audit::AuditEvent::AdviceRead {
-                            tick,
-                            node: v.index() as u32,
-                            bits: advice[v.index()].len() as u32,
-                        });
-                    }
-                }
-                awake[v.index()] = true;
-                awake_count += 1;
-                metrics.wake_tick[v.index()] = Some(tick);
-                metrics.first_wake_tick =
-                    Some(metrics.first_wake_tick.map_or(tick, |t| t.min(tick)));
-                if awake_count == n {
-                    metrics.all_awake_tick = Some(tick);
-                }
-                let mut ctx = Context::new(
-                    v,
-                    self.net.graph().degree(v),
-                    self.net.mode(),
-                    self.tables.id_to_port(v.index()),
-                    &mut *entries_buf,
-                    &mut *arena,
-                    self.config.channel,
-                    self.config.record_congest_violations,
-                    &mut metrics.congest_violations,
-                    &mut outputs[v.index()],
-                    &mut obs.phases,
-                    tick,
-                );
-                self.protocols[v.index()].on_wake(&mut ctx, cause);
-                for (port, r) in entries_buf.drain(..) {
-                    outbox_all.push((v, port, r));
-                }
-            }
-            for &(v, _) in newly_awake.iter() {
-                wake_queued[v.index()] = false;
-            }
-            newly_awake.clear();
-            touched.clear();
-            // Compute-and-send step for every awake node. The inbox is a
-            // draining view over the node's persistent buffer; handler sends
-            // go straight into the arena via the context.
-            for v in 0..n {
-                if !awake[v] {
-                    continue;
-                }
-                // Warm the next node's protocol state and inbox row while
-                // this handler runs.
-                crate::prefetch::prefetch_index(&self.protocols, v + 1);
-                crate::prefetch::prefetch_index(inboxes, v + 1);
-                let node = NodeId::new(v);
-                if !inboxes[v].is_empty() {
-                    obs.on_batch(inboxes[v].len());
-                }
-                let mut inbox = Inbox::new(&mut inboxes[v]);
-                let mut ctx = Context::new(
-                    node,
-                    self.net.graph().degree(node),
-                    self.net.mode(),
-                    self.tables.id_to_port(v),
-                    &mut *entries_buf,
-                    &mut *arena,
-                    self.config.channel,
-                    self.config.record_congest_violations,
-                    &mut metrics.congest_violations,
-                    &mut outputs[v],
-                    &mut obs.phases,
-                    tick,
-                );
-                self.protocols[v].on_messages_batch(&mut ctx, &mut inbox);
-                drop(inbox);
-                for (port, r) in entries_buf.drain(..) {
-                    outbox_all.push((node, port, r));
-                }
-            }
-            // Queue round-r sends for round r+1 delivery (CONGEST was
-            // enforced at enqueue time by the context; here we only account
-            // and route).
-            for (from, port, r) in outbox_all.drain(..) {
-                let slot = self.tables.slot(from, port);
-                let hot = self.tables.edge_hot[slot];
-                let to = NodeId::new(hot.to as usize);
-                let bits = arena.bits(r);
-                #[cfg(feature = "audit")]
-                if let Some(log) = audit_log.as_mut() {
-                    log.record(crate::audit::AuditEvent::Send {
-                        tick,
-                        from: from.index() as u32,
-                        to: to.index() as u32,
-                        bits: bits as u32,
-                        slot: r.slot(),
-                        gen: r.generation(),
-                    });
-                }
-                metrics.messages_sent += 1;
-                metrics.bits_sent += bits as u64;
-                metrics.max_message_bits = metrics.max_message_bits.max(bits);
-                metrics.sent_by[from.index()] += 1;
-                // Sync deliveries always take one round: τ ticks of latency.
-                obs.on_send_at(tick, bits as u64, TICKS_PER_UNIT);
-                if self.config.track_ports {
-                    ports_touched.set(slot);
-                }
-                let rport = Port::new(hot.rport as usize);
-                in_flight.push(InFlight {
-                    to,
-                    from: from.index() as u32,
-                    rport,
-                    msg: r,
-                });
-            }
-            round += 1;
-        }
-        if self.config.track_ports {
-            metrics.ports_used = Some(
-                (0..n)
-                    .map(|v| {
-                        ports_touched
-                            .count_range(self.tables.edge_offset[v], self.tables.edge_offset[v + 1])
-                            as u32
-                    })
-                    .collect(),
-            );
-        }
-        obs.timeline.finish();
-        obs.runtime.shards = 1;
-        obs.runtime.arena_high_water = arena.high_water() as u64;
-        obs.runtime.prefetch_batches = obs.batch_sizes.count();
-        crate::obs::add_global_events(obs.events);
-        RunReport {
-            all_awake: awake_count == n,
-            rounds: round,
-            outputs,
-            truncated,
-            metrics,
-            obs,
-            #[cfg(feature = "audit")]
-            audit_log,
-        }
+        let audit = self.config.audit_capacity.is_some();
+        #[cfg(not(feature = "audit"))]
+        let audit = false;
+        let k = crate::shard::shard_count(
+            self.net.n(),
+            self.config.shards,
+            audit || self.config.track_ports,
+            None,
+        );
+        self.run_workers(schedule, k)
     }
 
     /// The per-node protocol states (final states after a run).
@@ -563,212 +240,110 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
         &self.protocols
     }
 
-    /// Whether this run can take the sharded path. Audit recording
-    /// and port tracking fall back to the serial path — which produces
-    /// identical output, so the fallback is safe to keep silent.
-    fn sharded_eligible(&self) -> bool {
-        if self.config.shards <= 1 || self.config.track_ports {
-            return false;
-        }
-        #[cfg(feature = "audit")]
-        if self.config.audit_capacity.is_some() {
-            return false;
-        }
-        crate::shard::ShardPlan::new(self.net.n(), self.config.shards).k > 1
-    }
-
-    /// The sharded run: `K` workers execute the per-round deliver/step loop
-    /// over their node ranges, coordinated by this thread through a
-    /// two-phase barrier per round (the round barrier the model already
-    /// imposes). See the `shard` module docs for the protocol and the
-    /// determinism argument.
-    fn run_sharded(&mut self, schedule: &WakeSchedule) -> RunReport {
-        use crate::shard::{split_lengths, Cells, ShardMetrics, ShardPlan};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::{Barrier, Mutex};
+    /// Builds `k` workers over contiguous node ranges, runs them to the end
+    /// under the engine's next-round rule — inline on one shard, on `k`
+    /// threads otherwise — and assembles the report.
+    fn run_workers(&mut self, schedule: &WakeSchedule, k: usize) -> RunReport {
+        use crate::shard::{split_lengths, ShardMetrics, ShardPlan};
 
         let net = &*self.net;
         let tables = &*self.tables;
         let config = &self.config;
         let n = net.n();
-        let plan = ShardPlan::new(n, config.shards);
-        let k = plan.k;
-        if self.scratch.shards.len() != k {
-            self.scratch.shards = (0..k).map(|_| SyncShardScratch::new(k)).collect();
+        let plan = ShardPlan::new(n, k);
+        debug_assert_eq!(plan.k, k);
+        if self.scratch.len() != k {
+            self.scratch = (0..k).map(|_| SyncShardScratch::new(k)).collect();
         }
         // Adversary wakes grouped by round, canonically (round, id)-sorted.
-        let mut wakes_all: Vec<(u64, NodeId)> = schedule
+        let mut wakes: Vec<(u64, NodeId)> = schedule
             .entries()
             .iter()
             .map(|&(tick, v)| (tick / TICKS_PER_UNIT, v))
             .collect();
-        wakes_all.sort_unstable();
+        wakes.sort_unstable();
         let mut metrics = Metrics::new(n);
         let mut outputs: Vec<Option<u64>> = vec![None; n];
         let mut awake = vec![false; n];
-        let node_lens: Vec<usize> = (0..k)
-            .map(|s| {
-                let (lo, hi) = plan.range(s);
-                hi - lo
-            })
-            .collect();
-        let mut prot_it = split_lengths(self.protocols.as_mut_slice(), &node_lens).into_iter();
-        let mut out_it = split_lengths(outputs.as_mut_slice(), &node_lens).into_iter();
-        let mut awake_it = split_lengths(awake.as_mut_slice(), &node_lens).into_iter();
-        let mut wt_it = split_lengths(metrics.wake_tick.as_mut_slice(), &node_lens).into_iter();
-        let mut sb_it = split_lengths(metrics.sent_by.as_mut_slice(), &node_lens).into_iter();
-        let mut rb_it = split_lengths(metrics.received_by.as_mut_slice(), &node_lens).into_iter();
-        let mut wq_it =
-            split_lengths(self.scratch.wake_queued.as_mut_slice(), &node_lens).into_iter();
-        let mut ib_it = split_lengths(self.scratch.inboxes.as_mut_slice(), &node_lens).into_iter();
+        let node_lens = plan.ranges().map(|(lo, hi)| hi - lo);
         let mut workers: Vec<SyncShard<'_, P>> = Vec::with_capacity(k);
-        for (s, scr) in self.scratch.shards.iter_mut().enumerate() {
-            let (lo, hi) = plan.range(s);
-            let SyncShardScratch {
-                arena,
-                inflight,
-                touched,
-                newly_awake,
-                entries_buf,
-                stage,
-                drain_buf,
-            } = scr;
-            arena.clear();
-            inflight.clear();
-            touched.clear();
-            newly_awake.clear();
-            let wake_queued = wq_it.next().unwrap();
-            wake_queued.iter_mut().for_each(|q| *q = false);
-            let inboxes = ib_it.next().unwrap();
-            for inbox in inboxes.iter_mut() {
-                inbox.clear();
+        // The slice iterators borrow the run-global arrays until the
+        // workers hold their parts.
+        {
+            let mut prot_it = split_lengths(self.protocols.as_mut_slice(), node_lens.clone());
+            let mut out_it = split_lengths(outputs.as_mut_slice(), node_lens.clone());
+            let mut awake_it = split_lengths(awake.as_mut_slice(), node_lens.clone());
+            let mut wt_it = split_lengths(metrics.wake_tick.as_mut_slice(), node_lens.clone());
+            let mut sb_it = split_lengths(metrics.sent_by.as_mut_slice(), node_lens.clone());
+            let mut rb_it = split_lengths(metrics.received_by.as_mut_slice(), node_lens.clone());
+            let mut wq_it = split_lengths(self.wake_queued.as_mut_slice(), node_lens.clone());
+            let mut ib_it = split_lengths(self.inboxes.as_mut_slice(), node_lens);
+            for (s, scr) in self.scratch.iter_mut().enumerate() {
+                let (lo, hi) = plan.range(s);
+                // A truncated previous run may have left residue; clear
+                // defensively (no-ops after a quiescent run).
+                let inboxes = ib_it.next().unwrap();
+                inboxes.iter_mut().for_each(Vec::clear);
+                let wake_queued = wq_it.next().unwrap();
+                wake_queued.fill(false);
+                scr.arena.clear();
+                scr.inflight.clear();
+                scr.touched.clear();
+                scr.newly_awake.clear();
+                let edge_base = tables.edge_offset[lo];
+                workers.push(SyncShard {
+                    me: s,
+                    lo,
+                    plan,
+                    net,
+                    tables,
+                    config,
+                    protocols: prot_it.next().unwrap(),
+                    outputs: out_it.next().unwrap(),
+                    awake: awake_it.next().unwrap(),
+                    wake_tick: wt_it.next().unwrap(),
+                    sent_by: sb_it.next().unwrap(),
+                    received_by: rb_it.next().unwrap(),
+                    inboxes,
+                    wake_queued,
+                    edge_base,
+                    ports_touched: if config.track_ports {
+                        DenseBits::new(tables.edge_offset[hi] - edge_base)
+                    } else {
+                        DenseBits::default()
+                    },
+                    #[cfg(feature = "audit")]
+                    audit: config
+                        .audit_capacity
+                        .map(crate::audit::AuditLog::with_capacity),
+                    sm: ShardMetrics::default(),
+                    obs: crate::obs::ShardObs::new(hi - lo, config.obs, config.obs_windows),
+                    scr,
+                    wakes: plan.wakes_of(s, &mut wakes),
+                    cursor: 0,
+                    staged: 0,
+                    events: 0,
+                });
             }
-            let wakes: Vec<(u64, NodeId)> = wakes_all
-                .iter()
-                .copied()
-                .filter(|&(_, v)| v.index() >= lo && v.index() < hi)
-                .collect();
-            workers.push(SyncShard {
-                me: s,
-                lo,
-                plan,
-                net,
-                tables,
-                config,
-                protocols: prot_it.next().unwrap(),
-                outputs: out_it.next().unwrap(),
-                awake: awake_it.next().unwrap(),
-                wake_tick: wt_it.next().unwrap(),
-                sent_by: sb_it.next().unwrap(),
-                received_by: rb_it.next().unwrap(),
-                wake_queued,
-                inboxes,
-                sm: ShardMetrics::default(),
-                obs: crate::obs::ShardObs::new(hi - lo, config.obs, config.obs_windows),
-                arena,
-                inflight,
-                touched,
-                newly_awake,
-                entries_buf,
-                stage,
-                drain_buf,
-                wakes,
-                cursor: 0,
-                staged: 0,
-                events: 0,
-            });
         }
-        let cells: Cells<SyncCross<P::Msg>> = Cells::new(k);
-        let slots: Vec<Mutex<SyncPublished>> = (0..k)
-            .map(|_| Mutex::new(SyncPublished::default()))
-            .collect();
-        let barrier = Barrier::new(k + 1);
-        let decision = AtomicU64::new(0);
-        let mut round = 0u64;
-        let mut truncated = false;
-        let mut stall_rounds = 0u64;
-        std::thread::scope(|scope| {
-            let cells = &cells;
-            let slots = &slots;
-            let barrier = &barrier;
-            let decision = &decision;
-            for w in &mut workers {
-                scope.spawn(move || w.run(cells, slots, decision, barrier));
-            }
-            // Coordinator: the serial loop's cap/quiescence check over the
-            // shards' publications (cap first, exactly like the serial
-            // path — a quiescent run sitting on the cap still truncates).
-            loop {
-                barrier.wait();
-                let mut traffic = false;
-                let mut wakes_pending = false;
-                let mut wants = false;
-                for slot in slots {
-                    let p = *slot.lock().unwrap();
-                    traffic |= p.staged > 0;
-                    wakes_pending |= p.wakes_pending;
-                    wants |= p.wants;
-                }
-                let decide = if round >= config.max_rounds {
-                    truncated = true;
-                    u64::MAX
-                } else if !traffic && !wakes_pending && !wants {
-                    u64::MAX
-                } else {
-                    round
-                };
-                decision.store(decide, Ordering::Relaxed);
-                barrier.wait();
-                if decide == u64::MAX {
-                    break;
-                }
-                // A round entered with no traffic (only pending wakes or
-                // timer-driven nodes) delivers nothing — the sync analog of
-                // the async executor's horizon stall.
-                if !traffic {
-                    stall_rounds += 1;
-                }
-                round += 1;
-            }
-        });
-        // Consume the workers first: their field moves end the slice borrows
-        // of `metrics`, so the scalar merge below can take it mutably.
-        let (sms, per_shard): (Vec<ShardMetrics>, Vec<(crate::obs::ShardObs, u64)>) = workers
-            .into_iter()
-            .map(|w| (w.sm, (w.obs, w.events)))
-            .unzip();
-        let mut awake_total = 0usize;
-        for sm in &sms {
-            sm.merge_into(&mut metrics);
-            awake_total += sm.awake_count;
+        let mut coord = crate::shard::Coord {
+            cap: config.max_rounds,
+            ..Default::default()
+        };
+        if k == 1 {
+            crate::shard::drive_inline(&mut workers[0], &mut coord);
+        } else {
+            crate::shard::drive_threaded(&mut workers, &mut coord);
         }
-        let all_awake = awake_total == n;
-        if all_awake {
-            metrics.all_awake_tick = metrics.wake_tick.iter().filter_map(|&t| t).max();
-        }
-        let events: u64 = per_shard.iter().map(|&(_, e)| e).sum();
-        let obs_shards: Vec<crate::obs::ShardObs> = per_shard.into_iter().map(|(o, _)| o).collect();
-        let mut obs = crate::obs::merge_shard_obs(n, config.obs, &obs_shards);
-        obs.events = events;
-        obs.runtime.stall_rounds = stall_rounds;
-        obs.runtime.prefetch_batches = obs.batch_sizes.count();
-        crate::obs::add_global_events(events);
-        RunReport {
-            all_awake,
-            rounds: round,
-            outputs,
-            truncated,
-            metrics,
-            obs,
-            #[cfg(feature = "audit")]
-            audit_log: None,
-        }
+        coord.events = workers.iter().map(|w| w.events).sum();
+        let outcomes = workers.into_iter().map(SyncShard::finish).collect();
+        crate::shard::assemble_report(metrics, outputs, config.obs, outcomes, coord)
     }
 }
 
-/// One worker shard of a sharded sync run: the serial engine's per-round
-/// state restricted to a contiguous node range. Local node index = global
-/// id − `lo`.
+/// One worker of a sync run: the engine's per-round state restricted to a
+/// contiguous node range. Local node index = global id − `lo`; local edge
+/// slot = global slot − `edge_base`.
 struct SyncShard<'e, P: SyncProtocol> {
     me: usize,
     lo: usize,
@@ -782,107 +357,59 @@ struct SyncShard<'e, P: SyncProtocol> {
     wake_tick: &'e mut [Option<u64>],
     sent_by: &'e mut [u64],
     received_by: &'e mut [u64],
-    wake_queued: &'e mut [bool],
     inboxes: &'e mut [Vec<(Incoming, P::Msg)>],
+    wake_queued: &'e mut [bool],
+    edge_base: usize,
+    /// Local edge slots over which a message was sent or received; empty
+    /// unless `track_ports` (one-shard runs only).
+    ports_touched: DenseBits,
+    /// Model-conformance event recorder (`audit` feature; one-shard runs
+    /// only).
+    #[cfg(feature = "audit")]
+    audit: Option<crate::audit::AuditLog>,
     sm: crate::shard::ShardMetrics,
     obs: crate::obs::ShardObs,
-    arena: &'e mut PayloadArena<P::Msg>,
-    inflight: &'e mut Vec<SyncCross<P::Msg>>,
-    touched: &'e mut Vec<usize>,
-    newly_awake: &'e mut Vec<(NodeId, WakeCause)>,
-    entries_buf: &'e mut Vec<(Port, PayloadRef)>,
-    stage: &'e mut [Vec<SyncCross<P::Msg>>],
-    drain_buf: &'e mut Vec<SyncCross<P::Msg>>,
+    /// The worker's inboxes, arena, round queues and handler buffers.
+    scr: &'e mut SyncShardScratch<P::Msg>,
     /// This shard's schedule wakes, `(round, id)`-sorted.
     wakes: Vec<(u64, NodeId)>,
     cursor: usize,
-    /// Messages staged since the last publish.
+    /// Messages sent since the last publish.
     staged: u64,
     /// Locally processed events (deliveries + wakes), merged at the end.
     events: u64,
 }
 
 impl<P: SyncProtocol> SyncShard<'_, P> {
-    /// The worker loop; see `AsyncShard::run` for the barrier discipline.
-    /// Messages are only *collected* at the boundary and delivered inside
-    /// the round body, so a run stopped by the cap leaves them undelivered
-    /// and unaccounted — exactly like the serial engine's `in_flight` queue.
-    fn run(
-        &mut self,
-        cells: &crate::shard::Cells<SyncCross<P::Msg>>,
-        slots: &[std::sync::Mutex<SyncPublished>],
-        decision: &std::sync::atomic::AtomicU64,
-        barrier: &std::sync::Barrier,
-    ) {
-        self.publish_slot(slots);
-        loop {
-            barrier.wait();
-            self.collect_cells(cells);
-            barrier.wait();
-            let round = decision.load(std::sync::atomic::Ordering::Relaxed);
-            if round == u64::MAX {
-                break;
-            }
-            self.process_round(round);
-            self.publish_cells(cells);
-            self.publish_slot(slots);
-        }
+    /// Hands back what the report needs.
+    fn finish(mut self) -> crate::shard::ShardOutcome {
         self.obs.timeline.finish();
         self.obs.events = self.events;
-        self.obs.arena_high_water = self.arena.high_water() as u64;
-    }
-
-    fn publish_slot(&mut self, slots: &[std::sync::Mutex<SyncPublished>]) {
-        let wants = self
-            .awake
-            .iter()
-            .zip(self.protocols.iter())
-            .any(|(&a, p)| a && p.wants_round());
-        *slots[self.me].lock().unwrap() = SyncPublished {
-            staged: self.staged,
-            wants,
-            wakes_pending: self.cursor < self.wakes.len(),
-        };
-        self.staged = 0;
-    }
-
-    fn publish_cells(&mut self, cells: &crate::shard::Cells<SyncCross<P::Msg>>) {
-        for dst in 0..self.plan.k {
-            if dst == self.me {
-                continue;
-            }
-            for phase in 0..crate::shard::PHASES {
-                let buf = &mut self.stage[dst * crate::shard::PHASES + phase];
-                if !buf.is_empty() {
-                    cells.publish(self.me, dst, phase, buf);
-                }
-            }
+        self.obs.arena_high_water = self.scr.arena.high_water() as u64;
+        crate::shard::ShardOutcome {
+            ports_used: self.config.track_ports.then(|| {
+                crate::shard::ports_used(
+                    self.tables,
+                    self.lo,
+                    self.awake.len(),
+                    &self.ports_touched,
+                )
+            }),
+            sm: self.sm,
+            obs: self.obs,
+            #[cfg(feature = "audit")]
+            audit: self.audit,
         }
     }
 
-    /// Concatenates last round's staged messages into `inflight`,
-    /// phase-major then source-shard-major — the canonical serial
-    /// `outbox_all` order restricted to this shard's receivers.
-    fn collect_cells(&mut self, cells: &crate::shard::Cells<SyncCross<P::Msg>>) {
-        for phase in 0..crate::shard::PHASES {
-            for src in 0..self.plan.k {
-                if src == self.me {
-                    let buf = &mut self.stage[self.me * crate::shard::PHASES + phase];
-                    self.inflight.append(buf);
-                } else {
-                    cells.drain(src, self.me, phase, self.drain_buf);
-                    self.inflight.append(self.drain_buf);
-                }
-            }
-        }
-    }
-
-    /// The serial engine's round body over this shard's nodes: deliver,
+    /// The engine's one per-round body, over this shard's nodes: deliver,
     /// queue wakes (adversary beats message), wake handlers ascending, then
     /// the compute-and-send step ascending.
     fn process_round(&mut self, round: u64) {
         let tick = round * TICKS_PER_UNIT;
-        let mut inflight = std::mem::take(&mut *self.inflight);
+        let mut inflight = std::mem::take(&mut self.scr.inflight);
+        // All deliveries of a round share one tick, so the last-receipt
+        // watermark moves once per round, not once per message.
         if !inflight.is_empty() {
             self.sm.last_receipt_tick =
                 Some(self.sm.last_receipt_tick.map_or(tick, |t| t.max(tick)));
@@ -892,6 +419,26 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
         for m in inflight.drain(..) {
             let li = m.to as usize - self.lo;
             self.received_by[li] += 1;
+            // Recorded before any wake of this round, so wake causality
+            // streams in order (the whole in-flight queue drains first).
+            #[cfg(feature = "audit")]
+            if let (Some(log), crate::shard::CrossPayload::Local(r)) =
+                (self.audit.as_mut(), &m.payload)
+            {
+                log.record(crate::audit::AuditEvent::Deliver {
+                    tick,
+                    from: m.from,
+                    to: m.to,
+                    slot: r.slot(),
+                    gen: r.generation(),
+                });
+            }
+            if self.config.track_ports {
+                let slot = self
+                    .tables
+                    .slot(NodeId::new(m.to as usize), Port::new(m.rport as usize));
+                self.ports_touched.set(slot - self.edge_base);
+            }
             let sender_id = match self.net.mode() {
                 crate::knowledge::KnowledgeMode::Kt1 => {
                     Some(self.net.ids().id(NodeId::new(m.from as usize)))
@@ -899,13 +446,16 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
                 crate::knowledge::KnowledgeMode::Kt0 => None,
             };
             if self.inboxes[li].is_empty() {
-                self.touched.push(li);
+                self.scr.touched.push(li);
             }
             if !self.awake[li] {
+                // Provisional causal predecessor: the round's first
+                // delivery to a sleeping node (erased below if the
+                // adversary wakes it this round instead).
                 self.obs.note_wake_pred(li, m.from);
             }
             let msg = match m.payload {
-                crate::shard::CrossPayload::Local(r) => self.arena.take(r),
+                crate::shard::CrossPayload::Local(r) => self.scr.arena.take(r),
                 crate::shard::CrossPayload::Remote(payload, _) => payload,
             };
             self.inboxes[li].push((
@@ -916,47 +466,58 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
                 msg,
             ));
         }
-        *self.inflight = inflight;
+        self.scr.inflight = inflight;
+        // Round-r adversary wakes take precedence over message wakes.
         while self.cursor < self.wakes.len() && self.wakes[self.cursor].0 <= round {
             let v = self.wakes[self.cursor].1;
             self.cursor += 1;
             let li = v.index() - self.lo;
             if !self.awake[li] && !self.wake_queued[li] {
                 self.wake_queued[li] = true;
-                self.newly_awake.push((v, WakeCause::Adversary));
+                self.scr.newly_awake.push((v, WakeCause::Adversary));
             }
         }
-        let mut touched = std::mem::take(&mut *self.touched);
+        // Message receipt wakes.
+        let mut touched = std::mem::take(&mut self.scr.touched);
         for &li in &touched {
             if !self.awake[li] && !self.wake_queued[li] {
                 self.wake_queued[li] = true;
-                self.newly_awake
+                self.scr
+                    .newly_awake
                     .push((NodeId::new(li + self.lo), WakeCause::Message));
             }
         }
         touched.clear();
-        *self.touched = touched;
-        let mut newly = std::mem::take(&mut *self.newly_awake);
+        self.scr.touched = touched;
+        let mut newly = std::mem::take(&mut self.scr.newly_awake);
         newly.sort_unstable_by_key(|&(v, _)| v);
         self.events += newly.len() as u64;
         self.obs.tl_wakes(tick, newly.len() as u64);
         for &(v, cause) in newly.iter() {
             let li = v.index() - self.lo;
             if cause == WakeCause::Adversary {
+                // Adversary wakes take precedence over message wakes in the
+                // same round: the node is a root of the causal forest, not a
+                // successor.
                 self.obs.clear_wake_pred(li);
+            }
+            #[cfg(feature = "audit")]
+            if let Some(log) = self.audit.as_mut() {
+                let advice = self.config.advice.as_deref().map(Vec::as_slice);
+                log.record_wake(tick, v.index() as u32, cause, advice);
             }
             self.awake[li] = true;
             self.sm.awake_count += 1;
             self.wake_tick[li] = Some(tick);
             self.sm.first_wake_tick = Some(self.sm.first_wake_tick.map_or(tick, |t| t.min(tick)));
-            let mut entries = std::mem::take(&mut *self.entries_buf);
+            let mut entries = std::mem::take(&mut self.scr.entries_buf);
             let mut ctx = Context::new(
                 v,
                 self.net.graph().degree(v),
                 self.net.mode(),
                 self.tables.id_to_port(v.index()),
                 &mut entries,
-                self.arena,
+                &mut self.scr.arena,
                 self.config.channel,
                 self.config.record_congest_violations,
                 &mut self.sm.congest_violations,
@@ -967,13 +528,16 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             self.protocols[li].on_wake(&mut ctx, cause);
             self.obs.stamp_new_spans(tick, 0, v.index() as u32);
             self.route_outbox(&mut entries, v, 0, tick);
-            *self.entries_buf = entries;
+            self.scr.entries_buf = entries;
         }
         for &(v, _) in newly.iter() {
             self.wake_queued[v.index() - self.lo] = false;
         }
         newly.clear();
-        *self.newly_awake = newly;
+        self.scr.newly_awake = newly;
+        // Compute-and-send step for every awake node. The inbox is a
+        // draining view over the node's persistent buffer; handler sends go
+        // straight into the arena via the context.
         for li in 0..self.awake.len() {
             if !self.awake[li] {
                 continue;
@@ -987,14 +551,14 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
                 self.obs.on_batch(self.inboxes[li].len());
             }
             let mut inbox = Inbox::new(&mut self.inboxes[li]);
-            let mut entries = std::mem::take(&mut *self.entries_buf);
+            let mut entries = std::mem::take(&mut self.scr.entries_buf);
             let mut ctx = Context::new(
                 v,
                 self.net.graph().degree(v),
                 self.net.mode(),
                 self.tables.id_to_port(v.index()),
                 &mut entries,
-                self.arena,
+                &mut self.scr.arena,
                 self.config.channel,
                 self.config.record_congest_violations,
                 &mut self.sm.congest_violations,
@@ -1006,13 +570,33 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             drop(inbox);
             self.obs.stamp_new_spans(tick, 1, v.index() as u32);
             self.route_outbox(&mut entries, v, 1, tick);
-            *self.entries_buf = entries;
+            self.scr.entries_buf = entries;
+        }
+        // The round's Send events go in after all of its handlers, in
+        // send-queue order (wake sends, then step sends) — on a one-shard
+        // run, exactly the in-flight queue.
+        #[cfg(feature = "audit")]
+        if let Some(log) = self.audit.as_mut() {
+            for m in self.scr.inflight.iter() {
+                if let crate::shard::CrossPayload::Local(r) = m.payload {
+                    log.record(crate::audit::AuditEvent::Send {
+                        tick,
+                        from: m.from,
+                        to: m.to,
+                        bits: self.scr.arena.bits(r) as u32,
+                        slot: r.slot(),
+                        gen: r.generation(),
+                    });
+                }
+            }
         }
     }
 
-    /// The serial send-queue pass for one handler's outbox, staging into
-    /// per-`(shard, phase)` buffers for next-round delivery. `tick` is the
-    /// round's dispatch tick — sends attribute to the origin round.
+    /// Accounts and routes one handler's outbox for next-round delivery
+    /// (CONGEST was enforced at enqueue time by the context). On a one-shard
+    /// run every send goes straight into the in-flight queue; otherwise it
+    /// is staged into a per-`(shard, phase)` buffer. `tick` is the round's
+    /// dispatch tick — sends attribute to the origin round.
     fn route_outbox(
         &mut self,
         entries: &mut Vec<(Port, PayloadRef)>,
@@ -1024,27 +608,104 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             let slot = self.tables.slot(from, port);
             let hot = self.tables.edge_hot[slot];
             let to = hot.to as usize;
-            let bits = self.arena.bits(r);
+            let bits = self.scr.arena.bits(r);
             self.sm.messages_sent += 1;
             self.sm.bits_sent += bits as u64;
             self.sm.max_message_bits = self.sm.max_message_bits.max(bits);
             self.sent_by[from.index() - self.lo] += 1;
             // Sync deliveries always take one round: τ ticks of latency.
             self.obs.on_send_at(tick, bits as u64, TICKS_PER_UNIT);
+            if self.config.track_ports {
+                self.ports_touched.set(slot - self.edge_base);
+            }
+            self.staged += 1;
             let dst = self.plan.shard_of(to);
             let payload = if dst == self.me {
                 crate::shard::CrossPayload::Local(r)
             } else {
-                crate::shard::CrossPayload::Remote(self.arena.take(r), bits)
+                crate::shard::CrossPayload::Remote(self.scr.arena.take(r), bits)
             };
-            self.staged += 1;
-            self.stage[dst * crate::shard::PHASES + phase].push(SyncCross {
+            let m = SyncCross {
                 to: hot.to,
                 from: from.index() as u32,
                 rport: hot.rport,
                 payload,
-            });
+            };
+            if self.plan.k == 1 {
+                self.scr.inflight.push(m);
+            } else {
+                self.scr.stage.push(dst, phase, m);
+            }
         }
+    }
+}
+
+impl<P: SyncProtocol> crate::shard::Worker for SyncShard<'_, P> {
+    type Cross = SyncCross<P::Msg>;
+    type Progress = SyncPublished;
+
+    fn me(&self) -> usize {
+        self.me
+    }
+
+    fn stage(&mut self) -> &mut crate::shard::Stage<SyncCross<P::Msg>> {
+        &mut self.scr.stage
+    }
+
+    /// Queues staged messages for delivery in the next round body, so the
+    /// in-flight queue holds the canonical send-queue order (wake sends,
+    /// then step sends, senders ascending) restricted to this shard.
+    fn ingest(&mut self, batch: &mut Vec<SyncCross<P::Msg>>) {
+        self.scr.inflight.append(batch);
+    }
+
+    fn process(&mut self, round: u64) {
+        self.process_round(round);
+    }
+
+    fn join(a: SyncPublished, b: SyncPublished) -> SyncPublished {
+        SyncPublished {
+            staged: a.staged + b.staged,
+            wants: a.wants | b.wants,
+            wakes_pending: a.wakes_pending | b.wakes_pending,
+        }
+    }
+
+    /// Stops (`u64::MAX`) on the round cap first — a quiescent run sitting
+    /// on the cap still truncates — then on quiescence: no traffic in
+    /// flight, no pending adversary wakes, and no awake node wanting
+    /// another round. Otherwise returns the next round to run.
+    fn next_window(c: &mut crate::shard::Coord, p: SyncPublished) -> u64 {
+        if c.rounds >= c.cap {
+            c.truncated = true;
+            return u64::MAX;
+        }
+        if p.staged == 0 && !p.wakes_pending && !p.wants {
+            return u64::MAX;
+        }
+        // A round entered with no traffic (only pending wakes or
+        // timer-driven nodes) delivers nothing — the sync analog of the
+        // async executor's horizon stall.
+        if p.staged == 0 {
+            c.stall_rounds += 1;
+        }
+        c.rounds += 1;
+        c.rounds - 1
+    }
+
+    fn progress(&mut self) -> SyncPublished {
+        let wants = self
+            .awake
+            .iter()
+            .zip(self.protocols.iter())
+            .any(|(&a, p)| a && p.wants_round());
+        let published = SyncPublished {
+            staged: self.staged,
+            wants,
+            wakes_pending: self.cursor < self.wakes.len(),
+        };
+        self.staged = 0;
+        published
     }
 }
 
@@ -1262,34 +923,52 @@ mod tests {
         assert_eq!(report.outputs[0], Some(5));
     }
 
-    /// Sharded sync runs reproduce the serial engine byte-for-byte: metrics,
-    /// outputs, and both observability serializations — at any shard count,
-    /// including more shards than nodes.
+    /// Runs `P` under `config` on one shard and on each of `shards`,
+    /// asserting that every count reproduces the one-shard run byte for
+    /// byte — digest, metrics, rounds, flags, event count and both obs
+    /// serializations; returns the reports, one-shard first.
+    fn shard_runs<P: SyncProtocol>(
+        net: &Network,
+        schedule: &WakeSchedule,
+        config: &SyncConfig,
+        shards: &[usize],
+    ) -> Vec<RunReport> {
+        let reports: Vec<RunReport> = std::iter::once(&1)
+            .chain(shards)
+            .map(|&shards| {
+                let config = SyncConfig {
+                    shards,
+                    ..config.clone()
+                };
+                SyncEngine::<P>::new(net, config).run(schedule)
+            })
+            .collect();
+        let one = &reports[0];
+        assert_eq!(one.obs.runtime.shards, 1);
+        for (r, k) in reports[1..].iter().zip(shards) {
+            assert_eq!(
+                crate::RunDigest::of(one),
+                crate::RunDigest::of(r),
+                "shards={k}"
+            );
+            assert_eq!(one.metrics, r.metrics, "shards={k}");
+            let flags = |r: &RunReport| (r.rounds, r.all_awake, r.truncated, r.obs.events);
+            assert_eq!(flags(one), flags(r), "shards={k}");
+            let (a, b) = (crate::ObsSnapshot::of(one), crate::ObsSnapshot::of(r));
+            assert_eq!(a.to_json(), b.to_json(), "shards={k}");
+            assert_eq!(a.to_prometheus(), b.to_prometheus(), "shards={k}");
+        }
+        reports
+    }
+
+    /// Multi-shard sync runs reproduce the one-shard run byte for byte at
+    /// any shard count, including more shards than nodes.
     #[test]
     fn sync_sharded_run_is_byte_identical_to_serial() {
         let net = Network::kt1(generators::erdos_renyi_connected(37, 0.15, 11).unwrap(), 11);
         let all: Vec<NodeId> = (0..37).map(NodeId::new).collect();
         let schedule = WakeSchedule::staggered(&all, 1.5);
-        let run = |shards: usize| {
-            let config = SyncConfig {
-                shards,
-                ..SyncConfig::default()
-            };
-            SyncEngine::<BatchCounter>::new(&net, config).run(&schedule)
-        };
-        let serial = run(1);
-        for shards in [2, 3, 4, 64] {
-            let sharded = run(shards);
-            assert_eq!(serial.metrics, sharded.metrics, "shards={shards}");
-            assert_eq!(serial.all_awake, sharded.all_awake);
-            assert_eq!(serial.rounds, sharded.rounds, "shards={shards}");
-            assert_eq!(serial.outputs, sharded.outputs);
-            assert_eq!(serial.truncated, sharded.truncated);
-            let a = crate::obs::ObsSnapshot::of(&serial);
-            let b = crate::obs::ObsSnapshot::of(&sharded);
-            assert_eq!(a.to_json(), b.to_json(), "shards={shards}");
-            assert_eq!(a.to_prometheus(), b.to_prometheus(), "shards={shards}");
-        }
+        shard_runs::<BatchCounter>(&net, &schedule, &SyncConfig::default(), &[2, 3, 4, 64]);
     }
 
     /// Phase-labeling flood over both sync handler surfaces — the sync
@@ -1322,56 +1001,56 @@ mod tests {
         }
     }
 
-    /// A sharded KT1 run of a phase-labelling workload is byte-identical to
-    /// the serial run, including both observability serializations.
+    /// A multi-shard KT1 run of a phase-labelling workload is
+    /// byte-identical to the one-shard run.
     #[test]
     fn sync_phased_flood_is_byte_identical_across_shard_counts() {
         let g = generators::erdos_renyi_connected(41, 0.12, 13).unwrap();
         let net = Network::kt1(g, 5);
         let all: Vec<NodeId> = (0..41).map(NodeId::new).collect();
         let schedule = WakeSchedule::staggered(&all, 1.7);
-        let run = |shards: usize| {
-            let config = SyncConfig {
-                shards,
-                ..SyncConfig::default()
-            };
-            SyncEngine::<PhasedSyncFlood>::new(&net, config).run(&schedule)
-        };
-        let a = run(1);
-        for shards in [2, 3] {
-            let b = run(shards);
-            assert_eq!(a.metrics, b.metrics, "shards={shards}");
-            assert_eq!(a.outputs, b.outputs, "shards={shards}");
-            assert_eq!(a.rounds, b.rounds, "shards={shards}");
-            assert_eq!(a.all_awake, b.all_awake);
-            assert_eq!(a.truncated, b.truncated);
-            let sa = crate::obs::ObsSnapshot::of(&a);
-            let sb = crate::obs::ObsSnapshot::of(&b);
-            assert_eq!(sa.to_json(), sb.to_json(), "shards={shards}");
-            assert_eq!(sa.to_prometheus(), sb.to_prometheus(), "shards={shards}");
-        }
+        shard_runs::<PhasedSyncFlood>(&net, &schedule, &SyncConfig::default(), &[2, 3]);
     }
 
-    /// `wants_round` keeps the sharded clock running exactly as long as the
-    /// serial one: silent-timer protocols terminate with identical rounds.
+    /// `wants_round` keeps the multi-shard clock running exactly as long
+    /// as the one-shard one: silent-timer protocols end on the same round.
     #[test]
     fn sync_sharded_wants_round_matches_serial() {
         let net = Network::kt1(generators::path(7).unwrap(), 1);
-        let run = |shards: usize| {
-            let config = SyncConfig {
-                shards,
-                ..SyncConfig::default()
-            };
-            SyncEngine::<TimerNode>::new(&net, config).run(&WakeSchedule::single(NodeId::new(0)))
+        let schedule = WakeSchedule::single(NodeId::new(0));
+        shard_runs::<TimerNode>(&net, &schedule, &SyncConfig::default(), &[3]);
+    }
+
+    /// The shard-count rule on a 4-shard request: an audit log or port
+    /// tracking runs on one shard, a plain run on all four.
+    #[test]
+    fn shard_count_falls_back_to_one_shard_exactly_when_required() {
+        let net = Network::kt1(generators::erdos_renyi_connected(80, 0.08, 5).unwrap(), 5);
+        let schedule = WakeSchedule::single(NodeId::new(0));
+        let four = |config: &SyncConfig| {
+            let mut runs = shard_runs::<Flood>(&net, &schedule, config, &[4]);
+            runs.pop().unwrap()
         };
-        let (serial, sharded) = (run(1), run(3));
-        assert_eq!(serial.metrics, sharded.metrics);
-        assert_eq!(serial.rounds, sharded.rounds);
-        assert_eq!(serial.all_awake, sharded.all_awake);
+        assert_eq!(four(&SyncConfig::default()).obs.runtime.shards, 4);
+        let tracked = four(&SyncConfig {
+            track_ports: true,
+            ..SyncConfig::default()
+        });
+        assert_eq!(tracked.obs.runtime.shards, 1);
+        assert!(tracked.metrics.ports_used.is_some());
+        #[cfg(feature = "audit")]
+        {
+            let audited = four(&SyncConfig {
+                audit_capacity: Some(1 << 16),
+                ..SyncConfig::default()
+            });
+            assert_eq!(audited.obs.runtime.shards, 1);
+            assert!(audited.audit_log.is_some_and(|log| !log.is_empty()));
+        }
     }
 
     /// The round cap truncates at the same boundary at any shard count, and
-    /// a truncated sharded engine resets cleanly for the next run.
+    /// a truncated multi-shard engine resets cleanly for the next run.
     #[test]
     fn sync_sharded_round_cap_is_shard_invariant() {
         struct Chatter;
@@ -1392,24 +1071,22 @@ mod tests {
         let net = Network::kt1(generators::cycle(8).unwrap(), 1);
         let config = SyncConfig {
             max_rounds: 9,
-            shards: 4,
-            ..SyncConfig::default()
-        };
-        let serial_config = SyncConfig {
-            max_rounds: 9,
             ..SyncConfig::default()
         };
         let schedule = WakeSchedule::single(NodeId::new(0));
-        let serial = SyncEngine::<Chatter>::new(&net, serial_config).run(&schedule);
-        let mut engine = SyncEngine::<Chatter>::new(&net, config);
-        let sharded = engine.run_mut(&schedule);
-        assert!(serial.truncated && sharded.truncated);
-        assert_eq!(serial.metrics, sharded.metrics);
-        assert_eq!(serial.rounds, sharded.rounds);
-        assert_eq!(serial.obs.events, sharded.obs.events);
+        let runs = shard_runs::<Chatter>(&net, &schedule, &config, &[4]);
+        assert!(runs[1].truncated);
         // Rerun on the same engine: leftover collected-but-undelivered
         // messages from the truncated run must not leak into the next one.
+        let mut engine = SyncEngine::<Chatter>::new(
+            &net,
+            SyncConfig {
+                shards: 4,
+                ..config
+            },
+        );
+        let first = engine.run_mut(&schedule);
         let again = engine.run_mut(&schedule);
-        assert_eq!(again.metrics, sharded.metrics);
+        assert_eq!(again.metrics, first.metrics);
     }
 }
